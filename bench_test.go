@@ -186,6 +186,50 @@ func BenchmarkVMStepThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedManyThreads measures how a scheduling round's cost grows
+// with the thread count while the enabled set stays small: n-2 daemon
+// threads sit blocked on channel receives while two workers step through
+// loads and stores. The runnable index makes a round cost O(enabled), so
+// ns/event stays roughly flat across n; a per-round scan of every thread
+// grows linearly with it.
+func BenchmarkSchedManyThreads(b *testing.B) {
+	const itersPerWorker = 2000
+	for _, n := range []int{8, 128, 512} {
+		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				m := vm.New(vm.Config{Seed: int64(i)})
+				c := m.NewCell("c", trace.Int(0))
+				idle := make([]trace.ObjID, n-2)
+				for j := range idle {
+					idle[j] = m.NewChan(fmt.Sprintf("idle[%d]", j), 1)
+				}
+				s := m.Site("s")
+				work := func(t *vm.Thread) {
+					for j := 0; j < itersPerWorker; j++ {
+						v := t.Load(s, c)
+						t.Store(s, c, trace.Int(v.AsInt()+1))
+					}
+				}
+				res := m.Run(func(t *vm.Thread) {
+					for _, ch := range idle {
+						ch := ch
+						t.SpawnDaemon(s, "idle", func(t *vm.Thread) { t.Recv(s, ch) })
+					}
+					t.Spawn(s, "worker", work)
+					work(t)
+				})
+				if res.Outcome != vm.OutcomeOK {
+					b.Fatalf("outcome %v", res.Outcome)
+				}
+				events += res.Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}
+
 // BenchmarkRecorderPerEvent measures the recorder fast path for each
 // stock policy over a synthetic event stream.
 func BenchmarkRecorderPerEvent(b *testing.B) {

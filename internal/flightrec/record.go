@@ -53,7 +53,7 @@ func Record(s *scenario.Scenario, seed int64, params scenario.Params, o Options)
 	}
 	m.Attach(rec)
 	res := m.Run(main)
-	view := &scenario.RunView{Machine: m, Result: res}
+	view := &scenario.RunView{Machine: m, Result: res, Params: p, Seed: seed}
 	failed, sig := s.CheckFailure(view)
 	if err := rec.Finalize(failed, sig); err != nil {
 		return nil, err

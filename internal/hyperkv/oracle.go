@@ -6,15 +6,6 @@ import (
 	"debugdet/internal/scenario"
 )
 
-// paramsOf recovers the cluster configuration of a finished run from its
-// trace header (Exec and the recorders both stamp it).
-func paramsOf(v *scenario.RunView) scenario.Params {
-	if v.Trace != nil && v.Trace.Header.Params != nil {
-		return scenario.Params(v.Trace.Header.Params)
-	}
-	return nil
-}
-
 // VisibleRows computes, from the final machine state, how many distinct
 // rows a complete, healthy dump would return: rows present on a server
 // that currently owns their range. This is independent of whether the
@@ -23,7 +14,7 @@ func paramsOf(v *scenario.RunView) scenario.Params {
 // committed to a server that no longer hosted its range and silently
 // dropped — no other mechanism in the system unhosts a committed row.
 func VisibleRows(v *scenario.RunView) int64 {
-	cfg := configFromParams(paramsOf(v))
+	cfg := configFromParams(v.Params)
 	m := v.Machine
 	var visible int64
 	for key := 0; key < cfg.TotalRows(); key++ {

@@ -223,7 +223,7 @@ func reuseView(p *forkPath, seed int64) *scenario.RunView {
 	tr := &trace.Log{Header: p.view.Trace.Header, Sites: p.view.Trace.Sites, Events: p.view.Trace.Events}
 	tr.Header.Seed = seed
 	res.Trace = tr
-	return &scenario.RunView{Machine: p.view.Machine, Result: &res, Trace: tr}
+	return &scenario.RunView{Machine: p.view.Machine, Result: &res, Params: p.view.Params, Seed: seed, Trace: tr}
 }
 
 // runForked restores base's state from snap and executes only the
@@ -287,7 +287,7 @@ func (f *Forker) runForked(c Candidate, pEff scenario.Params, base *forkPath, sn
 		Events: events,
 	}
 	res.Trace = tr
-	view = &scenario.RunView{Machine: m, Result: res, Trace: tr}
+	view = &scenario.RunView{Machine: m, Result: res, Params: pEff, Seed: c.Seed, Trace: tr}
 	if insert {
 		rounds := make([]vm.SchedRound, 0, prefix+len(m.Rounds()))
 		rounds = append(rounds, base.rounds[:prefix]...)

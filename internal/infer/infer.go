@@ -217,19 +217,34 @@ func prioritize(plan []paramTry, o Options) []paramTry {
 // runCandidate executes one candidate of the plan. Candidates are
 // bit-deterministic functions of (scenario, options, pt.idx) and share no
 // mutable state, which is what makes the search embarrassingly parallel.
-func runCandidate(s *scenario.Scenario, o Options, pt paramTry) *scenario.RunView {
+// traced selects oracle-trace collection; it changes nothing else about
+// the execution.
+func runCandidate(s *scenario.Scenario, o Options, pt paramTry, traced bool) *scenario.RunView {
 	i := int64(pt.idx)
 	return s.Exec(scenario.ExecOptions{
-		Seed:      o.BaseSeed + i,
-		Params:    pt.p,
-		Scheduler: candidateScheduler(o, i),
-		Inputs:    candidateInputs(s, o, pt.p, i),
-		MaxSteps:  o.MaxSteps,
+		Seed:         o.BaseSeed + i,
+		Params:       pt.p,
+		Scheduler:    candidateScheduler(o, i),
+		Inputs:       candidateInputs(s, o, pt.p, i),
+		MaxSteps:     o.MaxSteps,
+		DisableTrace: !traced,
 	})
 }
 
 // Search runs candidate executions of s until accept returns true or the
 // budget is exhausted.
+//
+// accept sees only what acceptance needs: the view's Machine, Result,
+// Params and Seed. Its Trace may be nil — from-scratch candidates after
+// the first two in plan order run without oracle-trace collection, which
+// is most of a long search's allocation. The returned Outcome.View always
+// carries its trace: an accepted trace-free candidate is executed once
+// more with collection on, and since candidates are deterministic
+// functions of their plan slot that execution is the accepted one,
+// traced. The re-execution is not search work: Attempts, WorkCycles and
+// WorkSteps do not count it. The first two candidates keep their trace
+// because most failure searches accept one of them, and they then pay
+// for no second run.
 //
 // With Workers > 1 candidates run concurrently, under a determinism
 // contract that makes the parallel search indistinguishable from the
@@ -262,36 +277,11 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	if o.Fork {
 		return searchForked(s, accept, o, plan, workers)
 	}
+	run := scratchRun(s, o, plan)
 	if workers <= 1 {
-		return searchSeq(s, accept, o, plan)
+		return searchSeq(s, accept, o, plan, run, &Outcome{})
 	}
-	return searchParallel(s, accept, o, plan, workers)
-}
-
-// searchSeq is the reference implementation: one candidate at a time, in
-// index order. searchParallel is defined to be outcome-equivalent to it.
-func searchSeq(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options, plan []paramTry) *Outcome {
-	out := &Outcome{}
-	for _, pt := range plan {
-		if err := o.Ctx.Err(); err != nil {
-			out.Err = err
-			out.Note = "search canceled"
-			return out
-		}
-		view := runCandidate(s, o, pt)
-		out.Attempts++
-		out.WorkCycles += view.Result.Cycles
-		out.WorkSteps += view.Result.Steps
-		if accept(view) {
-			out.View = view
-			out.Ok = true
-			out.AcceptedParams = pt.p
-			out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
-			return out
-		}
-	}
-	out.Note = "budget exhausted"
-	return out
+	return collectParallel(s, accept, o, plan, workers, run, &Outcome{})
 }
 
 // runFunc executes one candidate of the plan, returning the finished view
@@ -299,14 +289,61 @@ func searchSeq(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Opti
 // totals for a from-scratch run; the executed suffix for a forked one).
 type runFunc func(pt paramTry) (view *scenario.RunView, steps, cycles uint64)
 
-// searchParallel fans the candidate plan across a worker pool and folds
-// results back in index order.
-func searchParallel(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options, plan []paramTry, workers int) *Outcome {
-	run := func(pt paramTry) (*scenario.RunView, uint64, uint64) {
-		view := runCandidate(s, o, pt)
+// tracedCandidates is how many candidates, in plan order, keep their
+// oracle trace (see Search).
+const tracedCandidates = 2
+
+// scratchRun runs candidates from scratch, collecting the oracle trace
+// only for the first tracedCandidates in plan order.
+func scratchRun(s *scenario.Scenario, o Options, plan []paramTry) runFunc {
+	traced := make([]bool, len(plan)) // by candidate index
+	for _, pt := range plan[:min(tracedCandidates, len(plan))] {
+		traced[pt.idx] = true
+	}
+	return func(pt paramTry) (*scenario.RunView, uint64, uint64) {
+		view := runCandidate(s, o, pt, traced[pt.idx])
 		return view, view.Result.Steps, view.Result.Cycles
 	}
-	return collectParallel(accept, o, plan, workers, run, &Outcome{})
+}
+
+// searchSeq is the reference implementation: one candidate at a time, in
+// index order, accounting on top of whatever out already holds.
+// collectParallel is defined to be outcome-equivalent to it.
+func searchSeq(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options, plan []paramTry, run runFunc, out *Outcome) *Outcome {
+	for _, pt := range plan {
+		if err := o.Ctx.Err(); err != nil {
+			out.Err = err
+			out.Note = "search canceled"
+			return out
+		}
+		view, steps, cycles := run(pt)
+		out.count(steps, cycles)
+		if accept(view) {
+			return out.take(s, o, pt, view)
+		}
+	}
+	out.Note = "budget exhausted"
+	return out
+}
+
+// count accounts one attempted candidate.
+func (out *Outcome) count(steps, cycles uint64) {
+	out.Attempts++
+	out.WorkCycles += cycles
+	out.WorkSteps += steps
+}
+
+// take records pt's view as the accepted execution, re-executing a
+// trace-free view with its trace (see Search).
+func (out *Outcome) take(s *scenario.Scenario, o Options, pt paramTry, view *scenario.RunView) *Outcome {
+	if view.Trace == nil {
+		view = runCandidate(s, o, pt, true)
+	}
+	out.View = view
+	out.Ok = true
+	out.AcceptedParams = pt.p
+	out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
+	return out
 }
 
 // searchForked runs the search through a Forker; see Options.Fork. The
@@ -314,7 +351,8 @@ func searchParallel(s *scenario.Scenario, accept func(*scenario.RunView) bool, o
 // parallel form executes the first candidate (the trunk) on the collector
 // and freezes the forest before fanning the rest across the pool, so
 // workers fork off a shared read-only trunk — keeping every count
-// deterministic across worker schedules.
+// deterministic across worker schedules. Forked candidates always carry
+// their trace: the forest is built from it.
 func searchForked(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options, plan []paramTry, workers int) *Outcome {
 	f := NewForker(ForkerConfig{
 		Scenario: s,
@@ -326,56 +364,21 @@ func searchForked(s *scenario.Scenario, accept func(*scenario.RunView) bool, o O
 		return f.Run(forkCandidate(s, o, pt))
 	}
 	if workers <= 1 {
-		out := &Outcome{}
-		for _, pt := range plan {
-			if err := o.Ctx.Err(); err != nil {
-				out.Err = err
-				out.Note = "search canceled"
-				return out
-			}
-			view, steps, cycles := run(pt)
-			out.Attempts++
-			out.WorkCycles += cycles
-			out.WorkSteps += steps
-			if accept(view) {
-				out.View = view
-				out.Ok = true
-				out.AcceptedParams = pt.p
-				out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
-				return out
-			}
-		}
-		out.Note = "budget exhausted"
-		return out
+		return searchSeq(s, accept, o, plan, run, &Outcome{})
 	}
-	out := &Outcome{}
-	if err := o.Ctx.Err(); err != nil {
-		out.Err = err
-		out.Note = "search canceled"
-		return out
-	}
-	pt := plan[0]
-	view, steps, cycles := run(pt)
-	out.Attempts++
-	out.WorkCycles += cycles
-	out.WorkSteps += steps
-	if accept(view) {
-		out.View = view
-		out.Ok = true
-		out.AcceptedParams = pt.p
-		out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
+	out := searchSeq(s, accept, o, plan[:1], run, &Outcome{})
+	if out.Ok || out.Err != nil {
 		return out
 	}
 	f.Freeze()
 	rest := plan[1:]
 	if len(rest) == 0 {
-		out.Note = "budget exhausted"
 		return out
 	}
 	if workers > len(rest) {
 		workers = len(rest)
 	}
-	return collectParallel(accept, o, rest, workers, run, out)
+	return collectParallel(s, accept, o, rest, workers, run, out)
 }
 
 // forkCandidate adapts a plan slot to the forker's candidate interface,
@@ -395,7 +398,7 @@ func forkCandidate(s *scenario.Scenario, o Options, pt paramTry) Candidate {
 // worker pool, results fold back into out in strictly increasing index
 // order (accept runs on the collector goroutine only), and accounting
 // continues from whatever out already holds.
-func collectParallel(accept func(*scenario.RunView) bool, o Options, plan []paramTry, workers int, run runFunc, out *Outcome) *Outcome {
+func collectParallel(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options, plan []paramTry, workers int, run runFunc, out *Outcome) *Outcome {
 	type candResult struct {
 		idx    int
 		view   *scenario.RunView
@@ -408,10 +411,11 @@ func collectParallel(accept func(*scenario.RunView) bool, o Options, plan []para
 	var wg sync.WaitGroup
 
 	// Speculation window: the feeder may run at most this many candidates
-	// ahead of the collector's cursor. Results hold full oracle traces, so
-	// an unbounded window would let fast candidates pile up the whole
-	// budget in memory (and burn the whole budget of CPU) while one slow
-	// early candidate blocks consumption.
+	// ahead of the collector's cursor. Results hold finished machines (and
+	// forked candidates their oracle traces), so an unbounded window would
+	// let fast candidates pile up the whole budget in memory (and burn the
+	// whole budget of CPU) while one slow early candidate blocks
+	// consumption.
 	window := 2 * workers
 	tokens := make(chan struct{}, window)
 	for i := 0; i < window; i++ {
@@ -480,19 +484,12 @@ func collectParallel(accept func(*scenario.RunView) bool, o Options, plan []para
 		delete(pending, cursor)
 		tokens <- struct{}{} // consumed one: let the feeder dispatch one more
 		pt := plan[cursor]
-		view := cr.view
 		cursor++
-		out.Attempts++
-		out.WorkCycles += cr.cycles
-		out.WorkSteps += cr.steps
-		if accept(view) {
-			out.View = view
-			out.Ok = true
-			out.AcceptedParams = pt.p
-			out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
+		out.count(cr.steps, cr.cycles)
+		if accept(cr.view) {
 			close(stop)
 			wg.Wait()
-			return out
+			return out.take(s, o, pt, cr.view)
 		}
 	}
 	close(stop)

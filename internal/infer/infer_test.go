@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"reflect"
 	"testing"
 
 	"debugdet/internal/lint/sites"
@@ -42,7 +43,7 @@ func TestSearchTriesShrinkFirst(t *testing.T) {
 	s := workload.Overflow()
 	sawShrink := false
 	out := Search(s, func(v *scenario.RunView) bool {
-		if v.Trace.Header.Params["requests"] == 1 {
+		if v.Params["requests"] == 1 {
 			sawShrink = true
 		}
 		failed, _ := s.CheckFailure(v)
@@ -246,5 +247,47 @@ func TestSeededSearchBitIdentical(t *testing.T) {
 	}
 	if seeded.Attempts > base.Attempts {
 		t.Fatalf("seeding increased attempts: %d -> %d", base.Attempts, seeded.Attempts)
+	}
+}
+
+// TestTraceFreeCandidates pins the accept contract: candidates after the
+// first tracedCandidates in plan order reach accept without a trace, the
+// accepted one comes back traced and identical to what accept saw, and
+// the re-execution that traces it is not counted as search work.
+func TestTraceFreeCandidates(t *testing.T) {
+	s := workload.Overflow()
+	const acceptAt = 5
+	for _, workers := range []int{1, 3} {
+		calls := 0
+		var seen *scenario.RunView
+		out := Search(s, func(v *scenario.RunView) bool {
+			calls++
+			if traced := v.Trace != nil; traced != (calls <= tracedCandidates) {
+				t.Fatalf("workers=%d: candidate %d traced=%v", workers, calls, traced)
+			}
+			seen = v
+			return calls == acceptAt
+		}, Options{Budget: 20, BaseSeed: 3, Workers: workers})
+		if !out.Ok || out.Attempts != acceptAt {
+			t.Fatalf("workers=%d: ok=%v attempts=%d, want acceptance at %d", workers, out.Ok, out.Attempts, acceptAt)
+		}
+		got := out.View
+		if got.Trace == nil || uint64(len(got.Trace.Events)) != got.Result.Steps {
+			t.Fatalf("workers=%d: accepted view has no complete trace", workers)
+		}
+		if got.Seed != seen.Seed || got.Result.Steps != seen.Result.Steps ||
+			got.Result.Cycles != seen.Result.Cycles || got.Result.Outcome != seen.Result.Outcome ||
+			!reflect.DeepEqual(got.Result.Outputs, seen.Result.Outputs) {
+			t.Fatalf("workers=%d: traced re-execution differs from the accepted candidate", workers)
+		}
+		var steps uint64
+		for i := 0; i < acceptAt; i++ {
+			v := s.Exec(scenario.ExecOptions{Seed: 3 + int64(i), Scheduler: candidateScheduler(Options{BaseSeed: 3}, int64(i)),
+				Inputs: candidateInputs(s, Options{BaseSeed: 3}, s.DefaultParams, int64(i)), DisableTrace: true})
+			steps += v.Result.Steps
+		}
+		if out.WorkSteps != steps {
+			t.Fatalf("workers=%d: WorkSteps %d, want the %d of the %d candidates", workers, out.WorkSteps, steps, acceptAt)
+		}
 	}
 }

@@ -148,8 +148,8 @@ func TestParallelSearchAcceptOrdering(t *testing.T) {
 	s := workload.Overflow()
 	var order []int64
 	accept := func(v *scenario.RunView) bool {
-		// Candidate i runs with seed BaseSeed+i; recover i from the trace.
-		order = append(order, v.Trace.Header.Seed-100)
+		// Candidate i runs with seed BaseSeed+i; recover i from the view.
+		order = append(order, v.Seed-100)
 		failed, _ := s.CheckFailure(v)
 		return failed
 	}

@@ -357,7 +357,7 @@ func RecordWithPolicy(s *scenario.Scenario, model Model, factory PolicyFactory, 
 		res.Trace.Header.Seed = seed
 		res.Trace.Header.Params = map[string]int64(p)
 	}
-	view := &scenario.RunView{Machine: m, Result: res, Trace: res.Trace}
+	view := &scenario.RunView{Machine: m, Result: res, Params: p, Seed: seed, Trace: res.Trace}
 	rcd := Capture(s, view, rec, model, seed, p)
 	return rcd, view, nil
 }

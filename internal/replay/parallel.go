@@ -160,7 +160,8 @@ func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*Segme
 	// out with the stitched trace substituted.
 	finalRes := *final.view.Result
 	finalRes.Trace = stitched
-	res.View = &scenario.RunView{Machine: final.view.Machine, Result: &finalRes, Trace: stitched}
+	res.View = &scenario.RunView{Machine: final.view.Machine, Result: &finalRes,
+		Params: final.view.Params, Seed: final.view.Seed, Trace: stitched}
 	return res, nil
 }
 

@@ -179,9 +179,16 @@ func (k *SeekSession) RunToEnd() (view *scenario.RunView, ok bool) {
 	k.Machine.Continue(0)
 	k.ReplaySteps += k.Machine.Seq() - before
 	res := k.Machine.Finish()
-	k.view = &scenario.RunView{Machine: k.Machine, Result: res, Trace: res.Trace}
+	k.view = k.newView(res)
 	k.ok = res.Outcome != vm.OutcomeDiverged && matchesTerminal(k.s, k.meta.Failed, k.meta.FailureSig, k.view)
 	return k.view, k.ok
+}
+
+// newView wraps the session's finished result, stamped with the recorded
+// run's identity.
+func (k *SeekSession) newView(res *vm.Result) *scenario.RunView {
+	return &scenario.RunView{Machine: k.Machine, Result: res,
+		Params: k.s.DefaultParams.Clone(k.meta.Params), Seed: k.meta.Seed, Trace: res.Trace}
 }
 
 // Close abandons the session, releasing the machine's threads. It is safe
@@ -189,6 +196,6 @@ func (k *SeekSession) RunToEnd() (view *scenario.RunView, ok bool) {
 func (k *SeekSession) Close() {
 	if k.view == nil {
 		res := k.Machine.Finish()
-		k.view = &scenario.RunView{Machine: k.Machine, Result: res, Trace: res.Trace}
+		k.view = k.newView(res)
 	}
 }

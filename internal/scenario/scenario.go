@@ -63,12 +63,21 @@ func (p Params) String() string {
 }
 
 // RunView is what predicates and analyses see of a finished execution: the
-// machine (for object names and final state), the result, and the oracle
-// trace.
+// machine (for object names and final state), the result, the run's
+// identity (effective parameters and seed) and the oracle trace.
+//
+// Failure checks and root-cause predicates must decide from Machine,
+// Result, Params and Seed alone: Trace is nil on runs that do not collect
+// one (flight recording, trace-free search candidates).
 type RunView struct {
 	Machine *vm.Machine
 	Result  *vm.Result
-	Trace   *trace.Log
+	// Params are the run's effective parameters: the scenario defaults
+	// with the run's overrides applied.
+	Params Params
+	// Seed is the run's scheduler seed.
+	Seed  int64
+	Trace *trace.Log
 }
 
 // Failed reports whether the scenario's failure specification holds,
@@ -177,8 +186,9 @@ type ExecOptions struct {
 	ObserverFactory func(*vm.Machine) []vm.Observer
 	// MaxSteps bounds the execution (0 = VM default).
 	MaxSteps uint64
-	// CollectTrace controls oracle-trace collection (default true; only
-	// micro-benchmarks disable it).
+	// DisableTrace turns oracle-trace collection off: the view's Trace is
+	// nil and nothing else about the run changes. Trace-free search
+	// candidates, flight recording and bare-VM measurements set it.
 	DisableTrace bool
 	// RelaxTime lifts time gates on sleeps and timeouts, required when a
 	// complete recorded schedule is being forced (see vm.Config.RelaxTime).
@@ -221,7 +231,7 @@ func (s *Scenario) Exec(o ExecOptions) *RunView {
 		res.Trace.Header.Seed = o.Seed
 		res.Trace.Header.Params = map[string]int64(p)
 	}
-	return &RunView{Machine: m, Result: res, Trace: res.Trace}
+	return &RunView{Machine: m, Result: res, Params: p, Seed: o.Seed, Trace: res.Trace}
 }
 
 // RunStats renders the scenario's one-line run summary, falling back to a

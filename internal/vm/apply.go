@@ -9,8 +9,17 @@ import (
 // applyOp executes t's pending operation against machine state, emits the
 // corresponding event, and deposits the result in t. The caller guarantees
 // the op is enabled. All shared state is mutated here, on the machine's
-// goroutine, so the VM needs no internal locking.
+// goroutine, so the VM needs no internal locking. The runnable index
+// follows along: t leaves it, and the waiters of the object the op
+// touched are re-checked.
 func (m *Machine) applyOp(t *Thread) {
+	m.unindex(t)
+	m.apply(t)
+	m.wake(t.pending.code, t.pending.obj)
+}
+
+// apply is applyOp's state transition proper.
+func (m *Machine) apply(t *Thread) {
 	req := &t.pending
 	t.result = trace.Nil
 	t.resultOK = true

@@ -55,8 +55,9 @@ type Config struct {
 	// MaxSteps aborts runaway executions; 0 means the default (4M events).
 	MaxSteps uint64
 	// CollectTrace controls whether the machine keeps the full oracle
-	// trace of the run. Evaluation needs it; pure recording-throughput
-	// benchmarks can disable it.
+	// trace of the run. It changes nothing else about the execution.
+	// Evaluation and replay need the trace; trace-free search candidates,
+	// the flight recorder and throughput benchmarks run without it.
 	CollectTrace bool
 	// RelaxTime makes time-gated operations (sleep, receive timeouts)
 	// always schedulable. Schedule-forcing replay sets it: the recorded
@@ -187,6 +188,15 @@ type Machine struct {
 	// rounds is the scheduling-decision log (Config.LogRounds).
 	rounds []SchedRound
 
+	// The runnable index (see runq.go): ready is a bitset over thread
+	// IDs of the parked threads whose pending op is enabled; mutexWait
+	// and chanWait list the threads parked on each mutex and channel;
+	// timed lists the clock-gated threads.
+	ready     []uint64
+	mutexWait [][]*Thread
+	chanWait  [][]*Thread
+	timed     []*Thread
+
 	// enabledBuf is reused across scheduling rounds.
 	enabledBuf []*Thread
 	// evBuf is the event staging buffer emit reuses; without it every
@@ -280,6 +290,7 @@ func (m *Machine) Start(main func(*Thread)) {
 		panic("vm: Start/Run called twice")
 	}
 	m.running = true
+	m.initIndex()
 	root := m.newThread("main", main)
 	m.startThread(root)
 }
@@ -407,8 +418,10 @@ func (m *Machine) pickNext() *Thread {
 		// are deadlocked.
 		wake, ok := m.earliestDeadline()
 		if !ok {
+			// The terminal is the deadlock event just staged, so the
+			// Result is the same whether or not a trace is collected.
 			m.emitMachineEvent(trace.EvDeadlock, trace.Str(m.blockedSummary()))
-			m.stop(OutcomeDeadlock, m.terminalFromLast())
+			m.stop(OutcomeDeadlock, m.evBuf)
 			return nil
 		}
 		if wake > m.clock {
@@ -417,42 +430,10 @@ func (m *Machine) pickNext() *Thread {
 			// Deadline already passed yet nothing enabled: defensive;
 			// treat as deadlock to avoid spinning.
 			m.emitMachineEvent(trace.EvDeadlock, trace.Str("timer stall"))
-			m.stop(OutcomeDeadlock, m.terminalFromLast())
+			m.stop(OutcomeDeadlock, m.evBuf)
 			return nil
 		}
 	}
-}
-
-func (m *Machine) terminalFromLast() trace.Event {
-	if m.tr != nil && len(m.tr.Events) > 0 {
-		return m.tr.Events[len(m.tr.Events)-1]
-	}
-	return trace.Event{Seq: m.seq, Time: m.clock, Kind: trace.EvDeadlock}
-}
-
-// enabledThreads returns live, parked threads whose pending operation can
-// proceed, sorted by thread ID for determinism.
-func (m *Machine) enabledThreads() []*Thread {
-	m.enabledBuf = m.enabledBuf[:0]
-	for _, t := range m.threads {
-		if t.done {
-			continue
-		}
-		if m.enabled(t) {
-			m.enabledBuf = append(m.enabledBuf, t)
-		}
-	}
-	// threads are appended in ID order already; keep an insertion sort as
-	// a defensive invariant. On sorted input it is a single comparison
-	// pass, and unlike sort.Slice it allocates nothing — this runs on
-	// every scheduling round.
-	buf := m.enabledBuf
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j].id < buf[j-1].id; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	return m.enabledBuf
 }
 
 // enabled reports whether t's pending operation can be applied now.
@@ -475,20 +456,15 @@ func (m *Machine) enabled(t *Thread) bool {
 	}
 }
 
-// earliestDeadline returns the soonest wake time among blocked sleepers.
+// earliestDeadline returns the soonest wake time among blocked sleepers:
+// the clock-gated threads of the runnable index.
 func (m *Machine) earliestDeadline() (uint64, bool) {
 	var best uint64
 	found := false
-	for _, t := range m.threads {
-		if t.done {
-			continue
-		}
-		c := t.pending.code
-		if c == opSleep || c == opRecvTimeout {
-			if !found || t.pending.deadline < best {
-				best = t.pending.deadline
-				found = true
-			}
+	for _, t := range m.timed {
+		if !found || t.pending.deadline < best {
+			best = t.pending.deadline
+			found = true
 		}
 	}
 	return best, found

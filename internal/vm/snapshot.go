@@ -455,6 +455,12 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 	}
 	m.threads[0].body = main
 	m.running = true
+	m.initIndex()
+	// The clock is installed before feed replay: the thread that emitted
+	// the snapshot's event re-issues its next operation during replay, and
+	// a sleep or receive-timeout takes its deadline from the clock at
+	// issue — the snapshot's clock, as in the original run.
+	m.clock = snap.Clock
 
 	// parked collects live threads as they reach their first
 	// post-checkpoint operation, so a failed restore can release exactly
@@ -552,11 +558,11 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 		d.durable = ds.Durable
 		d.fsyncs = ds.Fsyncs
 	}
-	m.clock = snap.Clock
 	m.seq = snap.Seq
 	m.recordCycles = snap.RecordCycles
 	m.live = snap.Live
 	m.liveNonDaemon = snap.LiveNonDaemon
+	m.rebuildIndex()
 	return m, nil
 }
 

@@ -82,6 +82,14 @@ type Thread struct {
 
 	taint trace.Taint
 
+	// Runnable-index membership (see runq.go): the waiter list of the
+	// mutex or channel the pending op waits on and the thread's slot in
+	// it (waitq nil = none), and its 1-based slot in the clock-gated list
+	// (0 = none).
+	waitq    *[]*Thread
+	waitPos  int
+	timedPos int
+
 	daemon bool
 	done   bool
 }
@@ -157,6 +165,7 @@ func (t *Thread) syscall(req opReq) trace.Value {
 		t.feed = nil // exhausted: park below at the first live operation
 	}
 	t.pending = req
+	m.index(t)
 	if m.inlineOwner == t && inlineEligible(req.code) && !(m.pauseAt > 0 && m.seq >= m.pauseAt) {
 		if next := m.pickNext(); next == t {
 			m.applyOp(t)
@@ -183,6 +192,7 @@ func (t *Thread) syscall(req opReq) trace.Value {
 // restore driver reports as the restore error, and unwinds once resumed.
 func (t *Thread) parkRestoreError(msg string) {
 	t.pending = opReq{code: opPanic, msg: msg}
+	t.m.index(t)
 	t.m.yieldCh <- t
 	<-t.resumeCh
 	panic(errMachineStopped)
@@ -376,6 +386,7 @@ func (m *Machine) newThread(name string, body func(*Thread)) *Thread {
 		unwound:  make(chan struct{}),
 	}
 	m.threads = append(m.threads, t)
+	m.growIndex(t)
 	m.live++
 	m.liveNonDaemon++
 	return t
@@ -405,6 +416,7 @@ func (m *Machine) threadMain(t *Thread) {
 		// so the failure is part of the execution model rather than
 		// tearing down the host process.
 		t.pending = opReq{code: opPanic, msg: fmt.Sprint(r)}
+		t.m.index(t)
 		t.m.yieldCh <- t
 		<-t.resumeCh
 		// The machine stops on the crash; nothing more to do.
