@@ -372,13 +372,13 @@ func BenchmarkPerfectReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, _, err := Record(s, Perfect, s.DefaultSeed, nil)
+	rec, _, err := record.Record(s, record.Perfect, s.DefaultSeed, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Replay(s, rec, ReplayOptions{})
+		res := replay.Replay(s, rec, replay.Options{})
 		if !res.Ok {
 			b.Fatalf("replay failed: %s", res.Note)
 		}
@@ -482,7 +482,7 @@ func BenchmarkSegmentedReplay(b *testing.B) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := replay.Segmented(s, rec, replay.Options{Workers: workers})
+				res, err := replay.Segmented(s, flightrec.NewRecordingStore(rec), replay.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -329,45 +329,8 @@ func runReplay(scenarioName, in string, budget int) {
 // non-interactive face of time travel, and what the debug REPL's seek
 // does.
 func runSeek(scenarioName, in string, target uint64) {
-	if in == "" {
-		fatal(fmt.Errorf("missing -in recording path"))
-	}
-	if isDir(in) {
-		runSeekStore(scenarioName, in, target)
-		return
-	}
-	rec := loadRecording(in)
-	name := scenarioName
-	if name == "" {
-		name = rec.Scenario
-	}
-	s := mustScenario(name)
-	sess, err := eng.Seek(context.Background(), s, rec, target, debugdet.ReplayOptions{})
-	if err != nil {
-		fatal(err)
-	}
-	defer sess.Close()
-	from := "start (no checkpoint ≤ target)"
-	if sess.FromCheckpoint {
-		from = fmt.Sprintf("checkpoint @%d", sess.SuffixFrom)
-	}
-	fmt.Printf("position %d/%d, restored from %s, replayed %d events\n",
-		sess.Pos(), rec.EventCount, from, sess.ReplaySteps)
-	printThreads(sess.Machine)
-}
-
-// runSeekStore is runSeek over a flight recorder's spill directory.
-func runSeekStore(scenarioName, dir string, target uint64) {
-	st, err := debugdet.OpenSegmentStore(dir)
-	if err != nil {
-		fatal(err)
-	}
-	name := scenarioName
-	if name == "" {
-		name = st.Meta().Scenario
-	}
-	s := mustScenario(name)
-	sess, err := eng.SeekStore(context.Background(), s, st, target, debugdet.ReplayOptions{})
+	s, st := openStore(scenarioName, in)
+	sess, err := eng.Seek(context.Background(), s, st, target, debugdet.ReplayOptions{})
 	if err != nil {
 		fatal(err)
 	}
@@ -379,6 +342,30 @@ func runSeekStore(scenarioName, dir string, target uint64) {
 	fmt.Printf("position %d/%d, restored from %s, replayed %d events\n",
 		sess.Pos(), st.Meta().EventCount, from, sess.ReplaySteps)
 	printThreads(sess.Machine)
+}
+
+// openStore opens -in as a segment store — a flight recorder's spill
+// directory, or a .ddrc recording file — and resolves its scenario:
+// -scenario when given, else the one the source was recorded from.
+func openStore(scenarioName, in string) (*debugdet.Scenario, debugdet.SegmentStore) {
+	if in == "" {
+		fatal(fmt.Errorf("missing -in recording path"))
+	}
+	var st debugdet.SegmentStore
+	if isDir(in) {
+		ds, err := debugdet.OpenSegmentStore(in)
+		if err != nil {
+			fatal(err)
+		}
+		st = ds
+	} else {
+		st = debugdet.RecordingStore(loadRecording(in))
+	}
+	name := scenarioName
+	if name == "" {
+		name = st.Meta().Scenario
+	}
+	return mustScenario(name), st
 }
 
 // isDir reports whether path exists and is a directory (a flight

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -93,5 +94,48 @@ func TestRecordRejectsNegativeKnobs(t *testing.T) {
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
 			t.Fatalf("rejected record still created %s", dir)
 		}
+	}
+}
+
+// TestSeekDebugBothSources: seek and debug take -in as either source kind
+// — a .ddrc recording or a flight recorder's spill directory — and report
+// the same positions for the same checkpointed run.
+func TestSeekDebugBothSources(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "bank.ddrc")
+	spill := filepath.Join(dir, "bank.spill")
+	for _, args := range [][]string{
+		{"record", "-scenario", "bank", "-ckpt", "64", "-out", file},
+		{"record", "-scenario", "bank", "-ckpt", "64", "-spill", spill},
+	} {
+		if out, code := runCLI(t, args...); code != 0 {
+			t.Fatalf("replaydbg %v exited %d:\n%s", args, code, out)
+		}
+	}
+	var wheres [][]string
+	for _, in := range []string{file, spill} {
+		out, code := runCLI(t, "seek", "-in", in, "-to", "200")
+		if code != 0 || !strings.Contains(out, "position 200/") {
+			t.Fatalf("seek -in %s exited %d:\n%s", in, code, out)
+		}
+		out, code = runCLI(t, "debug", "-in", in, "-script", "seek 200;where;back 5;where;run;quit")
+		if code != 0 {
+			t.Fatalf("debug -in %s exited %d:\n%s", in, code, out)
+		}
+		// Each command's report follows the "(ddbg @N) " prompt; the
+		// position reports start with "at ".
+		var at []string
+		for _, line := range strings.Split(out, "\n") {
+			if _, rest, ok := strings.Cut(line, ") "); ok && strings.HasPrefix(rest, "at ") {
+				at = append(at, rest)
+			}
+		}
+		if len(at) != 5 {
+			t.Fatalf("debug -in %s: %d position reports, want 5:\n%s", in, len(at), out)
+		}
+		wheres = append(wheres, at)
+	}
+	if !reflect.DeepEqual(wheres[0], wheres[1]) {
+		t.Fatalf("position reports differ:\n.ddrc:  %q\nspill: %q", wheres[0], wheres[1])
 	}
 }

@@ -46,5 +46,7 @@
 // Architecture: DESIGN.md §0 (SDK layering) describes how this package,
 // debugdet/sim, debugdet/scen, debugdet/trace and debugdet/figures fit
 // together; DESIGN.md §5 covers the time-travel replay surface
-// (Engine.Seek, Engine.ReplaySegmented, Engine.Debug).
+// (Engine.Seek, Engine.ReplaySegmented, Engine.Debug), each over a
+// SegmentStore: RecordingStore for a recording, OpenSegmentStore for a
+// flight recorder's spill directory.
 package debugdet

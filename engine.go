@@ -107,9 +107,10 @@ func (e *Engine) fill(ctx context.Context, o Options) (Options, func()) {
 }
 
 // mergeCtx reconciles the method's context argument with a context the
-// caller may have set on the options struct (the deprecated one-shot API
-// honors Options.Ctx, so the Engine must not silently drop it): when both
-// are meaningful, the merged context is canceled as soon as either is.
+// caller may have set on the options struct (Options.Ctx and
+// ReplayOptions.Ctx are public fields, so the Engine honors them rather
+// than silently dropping them): when both are meaningful, the merged
+// context is canceled as soon as either is.
 // The returned cleanup detaches the merged context from its parents; run
 // it when the call completes or the child leaks until a parent ends.
 func mergeCtx(arg, opt context.Context) (context.Context, func()) {
@@ -150,9 +151,8 @@ func (e *Engine) Record(ctx context.Context, s *Scenario, model Model, o Options
 // ring and spill to o.FlightRecorder.SpillDir as checkpoint-delimited
 // .ddseg files plus a feed log and manifest; recorder memory stays O(ring)
 // no matter how long the run is. The returned result carries the reopened
-// SegmentStore, which Seek, segmented replay and Debug consume via
-// SeekStore, ReplaySegmentedStore and DebugStore. Streaming recording is
-// always perfect-model.
+// SegmentStore, which Seek, ReplaySegmented and Debug consume. Streaming
+// recording is always perfect-model.
 func (e *Engine) RecordStreaming(ctx context.Context, s *Scenario, o Options) (*FlightRecording, error) {
 	o, stop := e.fill(ctx, o)
 	defer stop()
@@ -162,6 +162,13 @@ func (e *Engine) RecordStreaming(ctx context.Context, s *Scenario, o Options) (*
 // OpenSegmentStore opens a flight recorder's spill directory for replay.
 func OpenSegmentStore(dir string) (*DiskSegmentStore, error) {
 	return flightrec.Open(dir)
+}
+
+// RecordingStore presents an in-memory recording (Engine.Record,
+// LoadRecording) as a SegmentStore, the source Seek, ReplaySegmented and
+// Debug take.
+func RecordingStore(rec *Recording) SegmentStore {
+	return flightrec.NewRecordingStore(rec)
 }
 
 // Replay reconstructs an execution from a recording under the recording's
@@ -184,79 +191,50 @@ func (e *Engine) Replay(ctx context.Context, s *Scenario, rec *Recording, o Repl
 	return res, nil
 }
 
-// Seek opens a replay positioned at the target event of a recording: the
+// Seek opens a replay positioned at the target event of a store: the
 // nearest checkpoint at or before the target is restored and only the
 // remainder is re-executed, so seek latency on a checkpointed recording
 // is bounded by the checkpoint interval instead of the trace length.
-// Recordings without checkpoints (older files, or Options without
-// CheckpointInterval) fall back to replaying from the start. The session
-// must be finished with RunToEnd or released with Close. Seek requires a
-// perfect-model recording; see replay.ErrSeekUnsupported.
-func (e *Engine) Seek(ctx context.Context, s *Scenario, rec *Recording, target uint64, o ReplayOptions) (*SeekSession, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return replay.Seek(s, rec, target, o)
-}
-
-// SeekStore is Seek over a segment store — typically a flight recorder's
-// spill directory (OpenSegmentStore). Targets inside the retained tail
-// restore the nearest boundary snapshot; earlier targets fall back to a
-// full replay from the start, which the store's feed log always supports.
-func (e *Engine) SeekStore(ctx context.Context, s *Scenario, st SegmentStore, target uint64, o ReplayOptions) (*SeekSession, error) {
+// Targets with no usable checkpoint — none captured, or, over a spill
+// directory under retention, none still retained — fall back to replaying
+// from the start. The session must be finished with RunToEnd or released
+// with Close. Seek requires a perfect-model store; see
+// replay.ErrSeekUnsupported.
+func (e *Engine) Seek(ctx context.Context, s *Scenario, st SegmentStore, target uint64, o ReplayOptions) (*SeekSession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return replay.SeekStore(s, st, target, o)
 }
 
-// ReplaySegmented validates a perfect recording by replaying its
+// ReplaySegmented validates a perfect store by replaying its
 // checkpoint-delimited trace segments concurrently across the engine's
-// worker budget (o.Workers overrides). The result is deep-equal for every
-// worker count — the same sequential-equivalence contract as EvaluateBatch
-// — and reports the first event, if any, where the replay departs from the
-// recording.
-func (e *Engine) ReplaySegmented(ctx context.Context, s *Scenario, rec *Recording, o ReplayOptions) (*SegmentedResult, error) {
+// worker budget (o.Workers overrides). Over a spill directory under
+// retention that is the retained tail of the run. The result is deep-equal
+// for every worker count — the same sequential-equivalence contract as
+// EvaluateBatch — and reports the first event, if any, where the replay
+// departs from the recording.
+func (e *Engine) ReplaySegmented(ctx context.Context, s *Scenario, st SegmentStore, o ReplayOptions) (*SegmentedResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if o.Workers == 0 {
 		o.Workers = e.effectiveWorkers()
 	}
-	return replay.Segmented(s, rec, o)
-}
-
-// ReplaySegmentedStore is ReplaySegmented over a segment store: it
-// replays and validates the store's retained segments concurrently. Over
-// a spill directory under retention that is the retained tail of the run.
-func (e *Engine) ReplaySegmentedStore(ctx context.Context, s *Scenario, st SegmentStore, o ReplayOptions) (*SegmentedResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if o.Workers == 0 {
-		o.Workers = e.effectiveWorkers()
-	}
-	return replay.SegmentedStore(s, st, o)
+	return replay.Segmented(s, st, o)
 }
 
 // Debug opens an interactive time-travel session over a perfect-model
-// recording: step forward, seek to any event, step backward, and inspect
+// store: step forward, seek to any event, step backward, and inspect
 // thread, cell, lock, channel and stream state at the cursor — the API the
-// replaydbg debug REPL drives. Recordings without checkpoints get
-// in-memory ones materialized by a single full replay, so navigation is
-// fast either way. Close the session to release its replay machine.
-func (e *Engine) Debug(ctx context.Context, s *Scenario, rec *Recording, o DebugOptions) (*DebugSession, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return replay.NewDebugger(s, rec, o)
-}
-
-// DebugStore is Debug over a segment store. The cursor spans the whole
-// recorded execution; positions before the store's retained tail replay
+// replaydbg debug REPL drives. Stores without checkpoints get in-memory
+// ones materialized by a single full replay, so navigation is fast either
+// way. The cursor spans the whole recorded execution; over a spill
+// directory under retention, positions before the retained tail replay
 // from the start via the feed log, and event inspection is available
-// inside the retained range.
-func (e *Engine) DebugStore(ctx context.Context, s *Scenario, st SegmentStore, o DebugOptions) (*DebugSession, error) {
+// inside the retained range. Close the session to release its replay
+// machine.
+func (e *Engine) Debug(ctx context.Context, s *Scenario, st SegmentStore, o DebugOptions) (*DebugSession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -2,13 +2,13 @@ package checkpoint
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 )
 
 // Snapshot section binary format, embedded in .ddrc recordings (v2+):
@@ -39,20 +39,24 @@ var ErrBadSnapshot = errors.New("checkpoint: malformed snapshot section")
 // of allocating gigabytes.
 const implausible = 1 << 28
 
+// wireFmt reads the shared wire primitives as this codec's: failures wrap
+// ErrBadSnapshot, and strings are bounded by implausible.
+var wireFmt = wire.Format{Err: ErrBadSnapshot, MaxString: implausible, StringWhat: "string bytes count"}
+
 // EncodeSnapshots writes the snapshot section (possibly empty) to w and
 // returns the bytes written.
 func EncodeSnapshots(w io.Writer, snaps []*vm.Snapshot) (int64, error) {
-	cw := &countingWriter{w: w}
+	cw := &wire.CountingWriter{W: w}
 	bw := bufio.NewWriter(cw)
 	bw.WriteString(snapMagic)
-	writeUvarint(bw, uint64(len(snaps)))
+	wire.WriteUvarint(bw, uint64(len(snaps)))
 	for _, s := range snaps {
 		encodeSnapshot(bw, s)
 	}
 	if err := bw.Flush(); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
-	return cw.n, nil
+	return cw.N, nil
 }
 
 // SnapshotSize returns the encoded size of one snapshot — its body
@@ -60,25 +64,25 @@ func EncodeSnapshots(w io.Writer, snaps []*vm.Snapshot) (int64, error) {
 // recording — so the capture cost model and Recording.CheckpointBytes
 // sum to what the .ddrc section actually stores for the snapshots.
 func SnapshotSize(s *vm.Snapshot) int64 {
-	cw := &countingWriter{w: io.Discard}
+	cw := &wire.CountingWriter{W: io.Discard}
 	bw := bufio.NewWriter(cw)
 	encodeSnapshot(bw, s)
 	bw.Flush()
-	return cw.n
+	return cw.N
 }
 
 func encodeSnapshot(bw *bufio.Writer, s *vm.Snapshot) {
-	writeUvarint(bw, s.Seq)
-	writeUvarint(bw, s.Clock)
-	writeUvarint(bw, s.RecordCycles)
-	writeUvarint(bw, s.SchedPos)
-	writeUvarint(bw, uint64(s.Live))
-	writeUvarint(bw, uint64(s.LiveNonDaemon))
+	wire.WriteUvarint(bw, s.Seq)
+	wire.WriteUvarint(bw, s.Clock)
+	wire.WriteUvarint(bw, s.RecordCycles)
+	wire.WriteUvarint(bw, s.SchedPos)
+	wire.WriteUvarint(bw, uint64(s.Live))
+	wire.WriteUvarint(bw, uint64(s.LiveNonDaemon))
 
-	writeUvarint(bw, uint64(len(s.Threads)))
+	wire.WriteUvarint(bw, uint64(len(s.Threads)))
 	for i := range s.Threads {
 		t := &s.Threads[i]
-		writeString(bw, t.Name)
+		wire.WriteString(bw, t.Name)
 		var flags byte
 		if t.Daemon {
 			flags |= 1
@@ -92,25 +96,25 @@ func encodeSnapshot(bw *bufio.Writer, s *vm.Snapshot) {
 		bw.WriteByte(flags)
 		bw.WriteByte(byte(t.Taint))
 		bw.WriteByte(t.PendingCode)
-		writeUvarint(bw, uint64(t.PendingObj))
-		writeUvarint(bw, t.PendingDeadline)
+		wire.WriteUvarint(bw, uint64(t.PendingObj))
+		wire.WriteUvarint(bw, t.PendingDeadline)
 	}
 
-	writeUvarint(bw, uint64(len(s.Cells)))
+	wire.WriteUvarint(bw, uint64(len(s.Cells)))
 	for i := range s.Cells {
 		trace.WriteValue(bw, s.Cells[i].Val)
 		bw.WriteByte(byte(s.Cells[i].Taint))
 	}
 
-	writeUvarint(bw, uint64(len(s.Mutexes)))
+	wire.WriteUvarint(bw, uint64(len(s.Mutexes)))
 	for _, owner := range s.Mutexes {
-		writeVarint(bw, int64(owner))
+		wire.WriteVarint(bw, int64(owner))
 	}
 
-	writeUvarint(bw, uint64(len(s.Chans)))
+	wire.WriteUvarint(bw, uint64(len(s.Chans)))
 	for i := range s.Chans {
 		slots := s.Chans[i].Slots
-		writeUvarint(bw, uint64(len(slots)))
+		wire.WriteUvarint(bw, uint64(len(slots)))
 		for _, sl := range slots {
 			trace.WriteValue(bw, sl.Val)
 			bw.WriteByte(byte(sl.Taint))
@@ -122,26 +126,26 @@ func encodeSnapshot(bw *bufio.Writer, s *vm.Snapshot) {
 	// already stores in full, so the loader rehydrates them (see
 	// RehydrateStreams). Persisting only the cursor keeps checkpoint
 	// volume proportional to live state, not to trace length.
-	writeUvarint(bw, uint64(len(s.Streams)))
+	wire.WriteUvarint(bw, uint64(len(s.Streams)))
 	for i := range s.Streams {
 		st := &s.Streams[i]
-		writeString(bw, st.Name)
-		writeUvarint(bw, uint64(st.InIndex))
+		wire.WriteString(bw, st.Name)
+		wire.WriteUvarint(bw, uint64(st.InIndex))
 	}
 
 	// Disk records are live state, not a trace projection: the volatile
 	// tail and the torn survivor of a crash exist nowhere in the event
 	// stream, so the full log is persisted.
-	writeUvarint(bw, uint64(len(s.Disks)))
+	wire.WriteUvarint(bw, uint64(len(s.Disks)))
 	for i := range s.Disks {
 		d := &s.Disks[i]
-		writeUvarint(bw, uint64(len(d.Recs)))
+		wire.WriteUvarint(bw, uint64(len(d.Recs)))
 		for _, sl := range d.Recs {
 			trace.WriteValue(bw, sl.Val)
 			bw.WriteByte(byte(sl.Taint))
 		}
-		writeUvarint(bw, uint64(d.Durable))
-		writeUvarint(bw, uint64(d.Fsyncs))
+		wire.WriteUvarint(bw, uint64(d.Durable))
+		wire.WriteUvarint(bw, uint64(d.Fsyncs))
 	}
 }
 
@@ -156,7 +160,7 @@ func DecodeSnapshots(br *bufio.Reader) ([]*vm.Snapshot, error) {
 	if string(magic) != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, magic)
 	}
-	count, err := readUvarint(br)
+	count, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
@@ -177,23 +181,23 @@ func DecodeSnapshots(br *bufio.Reader) ([]*vm.Snapshot, error) {
 func decodeSnapshot(br *bufio.Reader) (*vm.Snapshot, error) {
 	s := &vm.Snapshot{}
 	var err error
-	if s.Seq, err = readUvarint(br); err != nil {
+	if s.Seq, err = wireFmt.ReadUvarint(br); err != nil {
 		return nil, err
 	}
-	if s.Clock, err = readUvarint(br); err != nil {
+	if s.Clock, err = wireFmt.ReadUvarint(br); err != nil {
 		return nil, err
 	}
-	if s.RecordCycles, err = readUvarint(br); err != nil {
+	if s.RecordCycles, err = wireFmt.ReadUvarint(br); err != nil {
 		return nil, err
 	}
-	if s.SchedPos, err = readUvarint(br); err != nil {
+	if s.SchedPos, err = wireFmt.ReadUvarint(br); err != nil {
 		return nil, err
 	}
-	live, err := readUvarint(br)
+	live, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	liveND, err := readUvarint(br)
+	liveND, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +210,7 @@ func decodeSnapshot(br *bufio.Reader) (*vm.Snapshot, error) {
 	s.Threads = make([]vm.ThreadSnap, n)
 	for i := range s.Threads {
 		t := &s.Threads[i]
-		if t.Name, err = readString(br); err != nil {
+		if t.Name, err = wireFmt.ReadString(br); err != nil {
 			return nil, err
 		}
 		flags, err := br.ReadByte()
@@ -224,12 +228,12 @@ func decodeSnapshot(br *bufio.Reader) (*vm.Snapshot, error) {
 		if t.PendingCode, err = br.ReadByte(); err != nil {
 			return nil, corrupt(err)
 		}
-		obj, err := readUvarint(br)
+		obj, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
 		t.PendingObj = trace.ObjID(obj)
-		if t.PendingDeadline, err = readUvarint(br); err != nil {
+		if t.PendingDeadline, err = wireFmt.ReadUvarint(br); err != nil {
 			return nil, err
 		}
 	}
@@ -244,7 +248,7 @@ func decodeSnapshot(br *bufio.Reader) (*vm.Snapshot, error) {
 	}
 	s.Mutexes = make([]trace.ThreadID, n)
 	for i := range s.Mutexes {
-		owner, err := readVarint(br)
+		owner, err := wireFmt.ReadVarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -274,10 +278,10 @@ func decodeSnapshot(br *bufio.Reader) (*vm.Snapshot, error) {
 	s.Streams = make([]vm.StreamSnap, n)
 	for i := range s.Streams {
 		st := &s.Streams[i]
-		if st.Name, err = readString(br); err != nil {
+		if st.Name, err = wireFmt.ReadString(br); err != nil {
 			return nil, err
 		}
-		idx, err := readUvarint(br)
+		idx, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -294,12 +298,12 @@ func decodeSnapshot(br *bufio.Reader) (*vm.Snapshot, error) {
 		if d.Recs, err = readSlots(br, "disk records"); err != nil {
 			return nil, err
 		}
-		durable, err := readUvarint(br)
+		durable, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
 		d.Durable = int(durable)
-		fsyncs, err := readUvarint(br)
+		fsyncs, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +332,7 @@ func readSlots(br *bufio.Reader, what string) ([]vm.SlotSnap, error) {
 }
 
 func readCount(br *bufio.Reader, what string) (uint64, error) {
-	n, err := readUvarint(br)
+	n, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return 0, err
 	}
@@ -338,65 +342,4 @@ func readCount(br *bufio.Reader, what string) (uint64, error) {
 	return n, nil
 }
 
-func corrupt(err error) error {
-	if errors.Is(err, ErrBadSnapshot) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s)
-}
-
-func readUvarint(r *bufio.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, corrupt(err)
-	}
-	return v, nil
-}
-
-func readVarint(r *bufio.Reader) (int64, error) {
-	v, err := binary.ReadVarint(r)
-	if err != nil {
-		return 0, corrupt(err)
-	}
-	return v, nil
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readCount(r, "string bytes")
-	if err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", corrupt(err)
-	}
-	return string(b), nil
-}
+func corrupt(err error) error { return wireFmt.Corrupt(err) }

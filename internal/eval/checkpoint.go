@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"debugdet/internal/core"
+	"debugdet/internal/flightrec"
 	"debugdet/internal/record"
 	"debugdet/internal/replay"
 	"debugdet/internal/workload"
@@ -78,7 +79,7 @@ func TableCheckpoint(o Options) ([]CkptRow, error) {
 		}
 		row.SeekReplayed = sess.ReplaySteps
 		sess.Close()
-		seg, err := replay.Segmented(s, rec, replay.Options{Workers: 1})
+		seg, err := replay.Segmented(s, flightrec.NewRecordingStore(rec), replay.Options{Workers: 1})
 		if err != nil {
 			return fmt.Errorf("ckpt interval %d: segmented: %w", interval, err)
 		}

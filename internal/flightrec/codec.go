@@ -13,6 +13,7 @@ import (
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 )
 
 // On-disk formats of the flight recorder, following the house codec
@@ -71,6 +72,10 @@ var ErrCorrupt = errors.New("flightrec: malformed flight-recorder file")
 // implausibleCount bounds decoded counts, as in the other codecs.
 const implausibleCount = 1 << 28
 
+// wireFmt reads the shared wire primitives as this codec's: failures wrap
+// ErrCorrupt, and strings are bounded by implausibleCount.
+var wireFmt = wire.Format{Err: ErrCorrupt, MaxString: implausibleCount, StringWhat: "string byte count"}
+
 // Segment is one checkpoint-delimited slice of the event stream: the
 // boundary snapshot that opens it (nil for the run's first segment) and
 // the fully recorded events of [From, To).
@@ -83,41 +88,41 @@ type Segment struct {
 // EncodeSegment writes the segment in the .ddseg format and returns the
 // bytes written.
 func EncodeSegment(w io.Writer, seg *Segment) (int64, error) {
-	cw := &countingWriter{w: w}
+	cw := &wire.CountingWriter{W: w}
 	bw := bufio.NewWriter(cw)
 	bw.WriteString(segMagic)
 	bw.WriteByte(segVersion)
-	writeUvarint(bw, uint64(seg.Index))
-	writeUvarint(bw, seg.From)
-	writeUvarint(bw, seg.To)
+	wire.WriteUvarint(bw, uint64(seg.Index))
+	wire.WriteUvarint(bw, seg.From)
+	wire.WriteUvarint(bw, seg.To)
 	if err := bw.Flush(); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
 	var snaps []*vm.Snapshot
 	if seg.Snap != nil {
 		snaps = []*vm.Snapshot{seg.Snap}
 	}
 	if _, err := checkpoint.EncodeSnapshots(cw, snaps); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
-	writeUvarint(bw, uint64(len(seg.Events)))
+	wire.WriteUvarint(bw, uint64(len(seg.Events)))
 	var prevSeq, prevTime uint64
 	for i := range seg.Events {
 		e := &seg.Events[i]
-		writeUvarint(bw, e.Seq-prevSeq)
-		writeUvarint(bw, e.Time-prevTime)
+		wire.WriteUvarint(bw, e.Seq-prevSeq)
+		wire.WriteUvarint(bw, e.Time-prevTime)
 		prevSeq, prevTime = e.Seq, e.Time
-		writeVarint(bw, int64(e.TID))
+		wire.WriteVarint(bw, int64(e.TID))
 		bw.WriteByte(byte(e.Kind))
-		writeUvarint(bw, uint64(e.Site))
-		writeUvarint(bw, uint64(e.Obj))
+		wire.WriteUvarint(bw, uint64(e.Site))
+		wire.WriteUvarint(bw, uint64(e.Obj))
 		bw.WriteByte(byte(e.Taint))
 		trace.WriteValue(bw, e.Val)
 	}
 	if err := bw.Flush(); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
-	return cw.n, nil
+	return cw.N, nil
 }
 
 // DecodeSegment reads a .ddseg segment. The boundary snapshot comes back
@@ -129,7 +134,7 @@ func DecodeSegment(r io.Reader) (*Segment, error) {
 		return nil, err
 	}
 	seg := &Segment{}
-	idx, err := readUvarint(br)
+	idx, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
@@ -137,10 +142,10 @@ func DecodeSegment(r io.Reader) (*Segment, error) {
 		return nil, fmt.Errorf("%w: implausible segment index %d", ErrCorrupt, idx)
 	}
 	seg.Index = int(idx)
-	if seg.From, err = readUvarint(br); err != nil {
+	if seg.From, err = wireFmt.ReadUvarint(br); err != nil {
 		return nil, err
 	}
-	if seg.To, err = readUvarint(br); err != nil {
+	if seg.To, err = wireFmt.ReadUvarint(br); err != nil {
 		return nil, err
 	}
 	if seg.To < seg.From || seg.To-seg.From > implausibleCount {
@@ -170,18 +175,18 @@ func DecodeSegment(r io.Reader) (*Segment, error) {
 	var prevSeq, prevTime uint64
 	for i := uint64(0); i < count; i++ {
 		var e trace.Event
-		dSeq, err := readUvarint(br)
+		dSeq, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
-		dTime, err := readUvarint(br)
+		dTime, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
 		prevSeq += dSeq
 		prevTime += dTime
 		e.Seq, e.Time = prevSeq, prevTime
-		tid, err := readVarint(br)
+		tid, err := wireFmt.ReadVarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -194,12 +199,12 @@ func DecodeSegment(r io.Reader) (*Segment, error) {
 			return nil, fmt.Errorf("%w: bad event kind %d", ErrCorrupt, kb)
 		}
 		e.Kind = trace.EventKind(kb)
-		site, err := readUvarint(br)
+		site, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
 		e.Site = trace.SiteID(site)
-		obj, err := readUvarint(br)
+		obj, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -235,25 +240,25 @@ func encodeManifest(w io.Writer, m *manifest) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(manMagic)
 	bw.WriteByte(manVersion)
-	writeString(bw, m.Meta.Scenario)
-	writeString(bw, m.Meta.Model.String())
-	writeVarint(bw, m.Meta.Seed)
+	wire.WriteString(bw, m.Meta.Scenario)
+	wire.WriteString(bw, m.Meta.Model.String())
+	wire.WriteVarint(bw, m.Meta.Seed)
 	keys := make([]string, 0, len(m.Meta.Params))
 	for k := range m.Meta.Params {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	writeUvarint(bw, uint64(len(keys)))
+	wire.WriteUvarint(bw, uint64(len(keys)))
 	for _, k := range keys {
-		writeString(bw, k)
-		writeVarint(bw, m.Meta.Params[k])
+		wire.WriteString(bw, k)
+		wire.WriteVarint(bw, m.Meta.Params[k])
 	}
-	writeUvarint(bw, uint64(len(m.Meta.Streams)))
+	wire.WriteUvarint(bw, uint64(len(m.Meta.Streams)))
 	for _, name := range m.Meta.Streams {
-		writeString(bw, name)
+		wire.WriteString(bw, name)
 	}
-	writeUvarint(bw, m.Meta.Interval)
-	writeUvarint(bw, m.Meta.EventCount)
+	wire.WriteUvarint(bw, m.Meta.Interval)
+	wire.WriteUvarint(bw, m.Meta.EventCount)
 	var flags byte
 	if m.Meta.SchedComplete {
 		flags |= flagSchedDone
@@ -265,16 +270,16 @@ func encodeManifest(w io.Writer, m *manifest) error {
 		flags |= flagFinalized
 	}
 	bw.WriteByte(flags)
-	writeString(bw, m.Meta.FailureSig)
-	writeUvarint(bw, m.FeedCount)
-	writeUvarint(bw, uint64(m.FeedBytes))
-	writeUvarint(bw, uint64(len(m.Segments)))
+	wire.WriteString(bw, m.Meta.FailureSig)
+	wire.WriteUvarint(bw, m.FeedCount)
+	wire.WriteUvarint(bw, uint64(m.FeedBytes))
+	wire.WriteUvarint(bw, uint64(len(m.Segments)))
 	for _, si := range m.Segments {
-		writeUvarint(bw, uint64(si.Index))
-		writeUvarint(bw, si.From)
-		writeUvarint(bw, si.To)
-		writeUvarint(bw, uint64(si.Bytes))
-		writeString(bw, si.File)
+		wire.WriteUvarint(bw, uint64(si.Index))
+		wire.WriteUvarint(bw, si.From)
+		wire.WriteUvarint(bw, si.To)
+		wire.WriteUvarint(bw, uint64(si.Bytes))
+		wire.WriteString(bw, si.File)
 	}
 	return bw.Flush()
 }
@@ -287,10 +292,10 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 	}
 	m := &manifest{}
 	var err error
-	if m.Meta.Scenario, err = readString(br); err != nil {
+	if m.Meta.Scenario, err = wireFmt.ReadString(br); err != nil {
 		return nil, err
 	}
-	modelName, err := readString(br)
+	modelName, err := wireFmt.ReadString(br)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +306,7 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	m.Meta.Model = model
-	if m.Meta.Seed, err = readVarint(br); err != nil {
+	if m.Meta.Seed, err = wireFmt.ReadVarint(br); err != nil {
 		return nil, err
 	}
 	n, err := readBoundedCount(br, "param")
@@ -312,11 +317,11 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 		m.Meta.Params = make(scenario.Params, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		k, err := readString(br)
+		k, err := wireFmt.ReadString(br)
 		if err != nil {
 			return nil, err
 		}
-		v, err := readVarint(br)
+		v, err := wireFmt.ReadVarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -327,14 +332,14 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 	}
 	m.Meta.Streams = make([]string, n)
 	for i := range m.Meta.Streams {
-		if m.Meta.Streams[i], err = readString(br); err != nil {
+		if m.Meta.Streams[i], err = wireFmt.ReadString(br); err != nil {
 			return nil, err
 		}
 	}
-	if m.Meta.Interval, err = readUvarint(br); err != nil {
+	if m.Meta.Interval, err = wireFmt.ReadUvarint(br); err != nil {
 		return nil, err
 	}
-	if m.Meta.EventCount, err = readUvarint(br); err != nil {
+	if m.Meta.EventCount, err = wireFmt.ReadUvarint(br); err != nil {
 		return nil, err
 	}
 	flags, err := readByte(br)
@@ -344,13 +349,13 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 	m.Meta.SchedComplete = flags&flagSchedDone != 0
 	m.Meta.Failed = flags&flagFailed != 0
 	m.Finalized = flags&flagFinalized != 0
-	if m.Meta.FailureSig, err = readString(br); err != nil {
+	if m.Meta.FailureSig, err = wireFmt.ReadString(br); err != nil {
 		return nil, err
 	}
-	if m.FeedCount, err = readUvarint(br); err != nil {
+	if m.FeedCount, err = wireFmt.ReadUvarint(br); err != nil {
 		return nil, err
 	}
-	fb, err := readUvarint(br)
+	fb, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +366,7 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 	m.Segments = make([]SegmentInfo, n)
 	for i := range m.Segments {
 		si := &m.Segments[i]
-		idx, err := readUvarint(br)
+		idx, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -369,18 +374,18 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 			return nil, fmt.Errorf("%w: implausible segment index %d", ErrCorrupt, idx)
 		}
 		si.Index = int(idx)
-		if si.From, err = readUvarint(br); err != nil {
+		if si.From, err = wireFmt.ReadUvarint(br); err != nil {
 			return nil, err
 		}
-		if si.To, err = readUvarint(br); err != nil {
+		if si.To, err = wireFmt.ReadUvarint(br); err != nil {
 			return nil, err
 		}
-		b, err := readUvarint(br)
+		b, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
 		si.Bytes = int64(b)
-		if si.File, err = readString(br); err != nil {
+		if si.File, err = wireFmt.ReadString(br); err != nil {
 			return nil, err
 		}
 	}
@@ -406,7 +411,7 @@ func writeFeedHeader(bw *bufio.Writer) {
 
 // writeFeedEntry appends one event's feed record.
 func writeFeedEntry(bw *bufio.Writer, e *trace.Event) {
-	writeVarint(bw, int64(e.TID))
+	wire.WriteVarint(bw, int64(e.TID))
 	bw.WriteByte(byte(e.Kind))
 	//lint:exhaustive-default payloadless kinds encode as the kind byte alone; readFeedLog mirrors this set
 	switch e.Kind {
@@ -414,17 +419,17 @@ func writeFeedEntry(bw *bufio.Writer, e *trace.Event) {
 		trace.WriteValue(bw, e.Val)
 		bw.WriteByte(byte(e.Taint))
 	case trace.EvInput:
-		writeUvarint(bw, uint64(e.Obj))
+		wire.WriteUvarint(bw, uint64(e.Obj))
 		trace.WriteValue(bw, e.Val)
 		bw.WriteByte(byte(e.Taint))
 	case trace.EvStore, trace.EvDiskWrite, trace.EvDiskFsync,
 		trace.EvDiskBarrier, trace.EvDiskCrash:
 		trace.WriteValue(bw, e.Val)
 	case trace.EvOutput:
-		writeUvarint(bw, uint64(e.Obj))
+		wire.WriteUvarint(bw, uint64(e.Obj))
 		trace.WriteValue(bw, e.Val)
 	case trace.EvSpawn:
-		writeUvarint(bw, uint64(e.Obj))
+		wire.WriteUvarint(bw, uint64(e.Obj))
 	}
 }
 
@@ -466,7 +471,7 @@ func readFeedLog(r io.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, e
 			}
 			fe.Taint = trace.Taint(tb)
 		case trace.EvInput:
-			obj, err := readUvarint(br)
+			obj, err := wireFmt.ReadUvarint(br)
 			if err != nil {
 				return count, err
 			}
@@ -485,7 +490,7 @@ func readFeedLog(r io.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, e
 				return count, err
 			}
 		case trace.EvOutput:
-			obj, err := readUvarint(br)
+			obj, err := wireFmt.ReadUvarint(br)
 			if err != nil {
 				return count, err
 			}
@@ -494,7 +499,7 @@ func readFeedLog(r io.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, e
 				return count, err
 			}
 		case trace.EvSpawn:
-			obj, err := readUvarint(br)
+			obj, err := wireFmt.ReadUvarint(br)
 			if err != nil {
 				return count, err
 			}
@@ -547,68 +552,12 @@ func expectMagic(br *bufio.Reader, magic string, version byte) error {
 	return nil
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s)
-}
-
 func readByte(br *bufio.Reader) (byte, error) {
 	b, err := br.ReadByte()
 	if err != nil {
 		return 0, corrupt(err)
 	}
 	return b, nil
-}
-
-func readUvarint(br *bufio.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, corrupt(err)
-	}
-	return v, nil
-}
-
-func readVarint(br *bufio.Reader) (int64, error) {
-	v, err := binary.ReadVarint(br)
-	if err != nil {
-		return 0, corrupt(err)
-	}
-	return v, nil
-}
-
-func readString(br *bufio.Reader) (string, error) {
-	n, err := readBoundedCount(br, "string byte")
-	if err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", corrupt(err)
-	}
-	return string(b), nil
 }
 
 func readValue(br *bufio.Reader) (trace.Value, error) {
@@ -620,7 +569,7 @@ func readValue(br *bufio.Reader) (trace.Value, error) {
 }
 
 func readBoundedCount(br *bufio.Reader, what string) (uint64, error) {
-	n, err := readUvarint(br)
+	n, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return 0, err
 	}
@@ -630,9 +579,4 @@ func readBoundedCount(br *bufio.Reader, what string) (uint64, error) {
 	return n, nil
 }
 
-func corrupt(err error) error {
-	if errors.Is(err, ErrCorrupt) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrCorrupt, err)
-}
+func corrupt(err error) error { return wireFmt.Corrupt(err) }

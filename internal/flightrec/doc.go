@@ -34,7 +34,7 @@
 // without the full feed prefix no checkpoint would be restorable.
 //
 // The Store interface is the replay-side contract: replay.SeekStore,
-// replay.SegmentedStore and the store-backed Debugger consume it in place
+// replay.Segmented and the store-backed Debugger consume it in place
 // of a monolithic *record.Recording. NewRecordingStore adapts an in-memory
 // Recording, Open a spill directory, so every replay entry point works
 // identically over both.

@@ -225,7 +225,7 @@ func TestFlightSegmentedWorkerInvariance(t *testing.T) {
 			}
 			var base *fingerprint
 			for _, workers := range []int{1, 2, 4} {
-				sr, err := replay.SegmentedStore(s, st, replay.Options{Workers: workers})
+				sr, err := replay.Segmented(s, st, replay.Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -280,7 +280,7 @@ func TestFlightDegenerateLayouts(t *testing.T) {
 		}
 		assertEventsMatch(t, "fallback", view.Trace.Events, plain.Full)
 
-		sr, err := replay.SegmentedStore(s, st, replay.Options{Workers: 4})
+		sr, err := replay.Segmented(s, st, replay.Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func TestFlightRetention(t *testing.T) {
 	// Segmented replay validates the retained tail, worker-invariant.
 	var ref *replay.SegmentedResult
 	for _, workers := range []int{1, 4} {
-		sr, err := replay.SegmentedStore(stale, st, replay.Options{Workers: workers})
+		sr, err := replay.Segmented(stale, st, replay.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 )
 
 // DefaultRingSegments is how many sealed segments stay in memory when
@@ -88,7 +89,7 @@ type Recorder struct {
 	meta Meta
 
 	feedF  *os.File
-	feedCW *countingWriter
+	feedCW *wire.CountingWriter
 	feedW  *bufio.Writer
 
 	cur       *Segment
@@ -144,7 +145,7 @@ func NewRecorder(m *vm.Machine, name string, seed int64, params scenario.Params,
 		cur:       &Segment{},
 		nextIndex: 1,
 	}
-	r.feedCW = &countingWriter{w: f}
+	r.feedCW = &wire.CountingWriter{W: f}
 	r.feedW = bufio.NewWriterSize(r.feedCW, 1<<16)
 	writeFeedHeader(r.feedW)
 	r.ckpt = checkpoint.NewStreamingWriter(m, o.Interval, r.rotate)
@@ -356,7 +357,7 @@ func (r *Recorder) writeManifestFinal(final bool) error {
 		Meta:      meta,
 		Finalized: final,
 		FeedCount: r.events,
-		FeedBytes: r.feedCW.n,
+		FeedBytes: r.feedCW.N,
 		Segments:  r.spilled,
 	}
 	path := filepath.Join(r.o.SpillDir, manifestName)
@@ -389,7 +390,7 @@ func (r *Recorder) Bytes() int64 { return r.bytes }
 func (r *Recorder) CheckpointBytes() int64 { return r.ckpt.Bytes() }
 
 // FeedBytes returns the feed log's size on disk so far.
-func (r *Recorder) FeedBytes() int64 { return r.feedCW.n }
+func (r *Recorder) FeedBytes() int64 { return r.feedCW.N }
 
 // MemBytes returns the recorder's current in-memory footprint (building
 // segment + ring, in encoded-size units).

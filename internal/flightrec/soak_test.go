@@ -99,7 +99,7 @@ func TestSoakMillionEventRecording(t *testing.T) {
 	// invariant: same verdict, same segment count, same work.
 	var first *replay.SegmentedResult
 	for _, workers := range []int{1, 4} {
-		sres, err := replay.SegmentedStore(s, st, replay.Options{Workers: workers})
+		sres, err := replay.Segmented(s, st, replay.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -12,6 +12,7 @@ import (
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 )
 
 // Recording is the persisted artifact of one recorded production run: what
@@ -45,8 +46,9 @@ type Recording struct {
 
 	// Checkpoints are the periodic VM state snapshots captured during the
 	// recorded run (Options.CheckpointInterval; perfect-model recordings
-	// only), in trace order. They power replay.Seek and replay.Segmented;
-	// recordings without them — including every v1 format file — replay
+	// only), in trace order. They power seek and segmented replay over
+	// the recording's store (flightrec.NewRecordingStore); recordings
+	// without them — including every v1 format file — replay
 	// front-to-back.
 	Checkpoints []*vm.Snapshot
 	// CheckpointBytes is the encoded volume of the checkpoints, kept
@@ -203,18 +205,11 @@ func (r *Recording) saveVersion(w io.Writer, ver byte) error {
 	if _, err := trace.Encode(bw, l); err != nil {
 		return err
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(r.Sched)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
+	wire.WriteUvarint(bw, uint64(len(r.Sched)))
 	prev := int64(0)
 	for _, tid := range r.Sched {
-		n := binary.PutVarint(buf[:], int64(tid)-prev)
+		wire.WriteVarint(bw, int64(tid)-prev)
 		prev = int64(tid)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
 	}
 	if err := bw.Flush(); err != nil {
 		return err

@@ -40,22 +40,17 @@ type SegmentedResult struct {
 	Note string
 }
 
-// Segmented validates a perfect recording by replaying its checkpoint
+// Segmented validates a perfect store by replaying its checkpoint
 // segments concurrently across o.Workers workers (0 = GOMAXPROCS, 1 =
-// sequential). A recording without checkpoints degenerates to one segment
-// — a sequential validated replay. Only perfect recordings are supported
-// (ErrSeekUnsupported otherwise): segmentation needs the complete event
-// stream both to restore from and to validate against.
-func Segmented(s *scenario.Scenario, rec *record.Recording, o Options) (*SegmentedResult, error) {
-	return SegmentedStore(s, flightrec.NewRecordingStore(rec), o)
-}
-
-// SegmentedStore is Segmented over a segment store. For a flight
-// recorder's spill directory it replays and validates the retained tail:
-// the first retained segment restores from its boundary snapshot (or
-// from the start, when segment 0 is still retained) and the last one
-// runs to the end of the execution.
-func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedResult, error) {
+// sequential). A recording (flightrec.NewRecordingStore) without
+// checkpoints degenerates to one segment — a sequential validated replay.
+// For a flight recorder's spill directory it replays and validates the
+// retained tail: the first retained segment restores from its boundary
+// snapshot (or from the start, when segment 0 is still retained) and the
+// last one runs to the end of the execution. Only perfect stores are
+// supported (ErrSeekUnsupported otherwise): segmentation needs the
+// complete event stream both to restore from and to validate against.
+func Segmented(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedResult, error) {
 	meta := st.Meta()
 	if meta.Model != record.Perfect || !meta.SchedComplete {
 		return nil, ErrSeekUnsupported

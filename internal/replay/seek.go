@@ -21,8 +21,8 @@ import (
 //
 // Seek operates over the flightrec.Store interface, so it works the same
 // on an in-memory recording (via flightrec.NewRecordingStore) and on a
-// flight recorder's spill directory (flightrec.Open) — SeekStore is the
-// store-backed entry point, Seek the recording-shaped convenience.
+// flight recorder's spill directory (flightrec.Open). SeekStore is the
+// entry point; Seek adapts a recording to it.
 
 // ErrSeekUnsupported reports a recording that checkpointed seek cannot
 // operate on: seek needs the complete schedule and every event value,
@@ -82,11 +82,6 @@ func replayConfig(s *scenario.Scenario, st flightrec.Store, meta flightrec.Meta,
 		return s.Build(m, p)
 	}
 	return cfg, setup, nil
-}
-
-// recordedInputs builds the forced input source of a perfect recording.
-func recordedInputs(rec *record.Recording) vm.InputSource {
-	return &vm.MapInputs{Values: rec.InputsByStream(), Base: vm.ZeroInputs}
 }
 
 // Seek opens a session positioned at target: the execution state is that

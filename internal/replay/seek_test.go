@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"debugdet/internal/checkpoint"
+	"debugdet/internal/flightrec"
 	"debugdet/internal/record"
 	"debugdet/internal/scenario"
 	"debugdet/internal/vm"
@@ -149,7 +150,7 @@ func TestSeekUnsupportedModels(t *testing.T) {
 		if _, err := Seek(s, rec, 0, Options{}); err == nil {
 			t.Errorf("%s: seek accepted an incomplete recording", model)
 		}
-		if _, err := Segmented(s, rec, Options{}); err == nil {
+		if _, err := Segmented(s, flightrec.NewRecordingStore(rec), Options{}); err == nil {
 			t.Errorf("%s: segmented replay accepted an incomplete recording", model)
 		}
 		if _, err := NewDebugger(s, rec, DebugOptions{}); err == nil {
@@ -208,7 +209,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 
 			var first *segmentedFingerprint
 			for _, workers := range workerCounts {
-				res, err := Segmented(s, rec, Options{Workers: workers})
+				res, err := Segmented(s, flightrec.NewRecordingStore(rec), Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

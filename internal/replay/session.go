@@ -43,9 +43,6 @@ type DebugOptions struct {
 	Interval uint64
 	// MaxSteps bounds each replayed execution (0 = VM default).
 	MaxSteps uint64
-	// Workers bounds nothing today; reserved so the session surface can
-	// parallelize materialization without an API change.
-	Workers int
 }
 
 // NewDebugger opens a time-travel session over a recording, positioned at

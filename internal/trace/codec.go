@@ -2,11 +2,12 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
+
+	"debugdet/internal/wire"
 )
 
 // Binary log format
@@ -37,31 +38,27 @@ var (
 	ErrCorrupt    = errors.New("trace: corrupt log")
 )
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
+// maxString bounds a decoded string's length in bytes.
+const maxString = 16 << 20
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
+// wireFmt reads the shared wire primitives as this codec's: failures wrap
+// ErrCorrupt, and strings are bounded by maxString.
+var wireFmt = wire.Format{Err: ErrCorrupt, MaxString: maxString, StringWhat: "string size"}
 
 // Encode writes the log in the binary format and returns the number of
 // bytes written.
 func Encode(w io.Writer, l *Log) (int64, error) {
-	cw := &countingWriter{w: w}
+	cw := &wire.CountingWriter{W: w}
 	bw := bufio.NewWriter(cw)
 	if _, err := bw.WriteString(logMagic); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
 	if err := bw.WriteByte(logVersion); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
-	writeString(bw, l.Header.Scenario)
-	writeString(bw, l.Header.Model)
-	writeVarint(bw, l.Header.Seed)
+	wire.WriteString(bw, l.Header.Scenario)
+	wire.WriteString(bw, l.Header.Model)
+	wire.WriteVarint(bw, l.Header.Seed)
 
 	// Maps are written in sorted key order so encoding is deterministic.
 	pkeys := make([]string, 0, len(l.Header.Params))
@@ -69,49 +66,49 @@ func Encode(w io.Writer, l *Log) (int64, error) {
 		pkeys = append(pkeys, k)
 	}
 	sort.Strings(pkeys)
-	writeUvarint(bw, uint64(len(pkeys)))
+	wire.WriteUvarint(bw, uint64(len(pkeys)))
 	for _, k := range pkeys {
-		writeString(bw, k)
-		writeVarint(bw, l.Header.Params[k])
+		wire.WriteString(bw, k)
+		wire.WriteVarint(bw, l.Header.Params[k])
 	}
 	lkeys := make([]string, 0, len(l.Header.Labels))
 	for k := range l.Header.Labels {
 		lkeys = append(lkeys, k)
 	}
 	sort.Strings(lkeys)
-	writeUvarint(bw, uint64(len(lkeys)))
+	wire.WriteUvarint(bw, uint64(len(lkeys)))
 	for _, k := range lkeys {
-		writeString(bw, k)
-		writeString(bw, l.Header.Labels[k])
+		wire.WriteString(bw, k)
+		wire.WriteString(bw, l.Header.Labels[k])
 	}
 
 	// Iterate the table by index rather than copying it out: Encode
 	// runs once per recorded log, including inside EncodedSize on the
 	// recording overhead path.
 	nSites := l.Sites.Len()
-	writeUvarint(bw, uint64(nSites))
+	wire.WriteUvarint(bw, uint64(nSites))
 	for i := 0; i < nSites; i++ {
-		writeString(bw, l.Sites.Name(SiteID(i)))
+		wire.WriteString(bw, l.Sites.Name(SiteID(i)))
 	}
 
-	writeUvarint(bw, uint64(len(l.Events)))
+	wire.WriteUvarint(bw, uint64(len(l.Events)))
 	var prevSeq, prevTime uint64
 	for i := range l.Events {
 		e := &l.Events[i]
-		writeUvarint(bw, e.Seq-prevSeq)
-		writeUvarint(bw, e.Time-prevTime)
+		wire.WriteUvarint(bw, e.Seq-prevSeq)
+		wire.WriteUvarint(bw, e.Time-prevTime)
 		prevSeq, prevTime = e.Seq, e.Time
-		writeVarint(bw, int64(e.TID))
+		wire.WriteVarint(bw, int64(e.TID))
 		bw.WriteByte(byte(e.Kind))
-		writeUvarint(bw, uint64(e.Site))
-		writeUvarint(bw, uint64(e.Obj))
+		wire.WriteUvarint(bw, uint64(e.Site))
+		wire.WriteUvarint(bw, uint64(e.Obj))
 		bw.WriteByte(byte(e.Taint))
 		writeValue(bw, e.Val)
 	}
 	if err := bw.Flush(); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
-	return cw.n, nil
+	return cw.N, nil
 }
 
 // Decode reads a log in the binary format.
@@ -132,45 +129,45 @@ func Decode(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("%w: got %d want %d", ErrBadVersion, ver, logVersion)
 	}
 	l := &Log{Sites: NewSiteTable()}
-	if l.Header.Scenario, err = readString(br); err != nil {
+	if l.Header.Scenario, err = wireFmt.ReadString(br); err != nil {
 		return nil, err
 	}
-	if l.Header.Model, err = readString(br); err != nil {
+	if l.Header.Model, err = wireFmt.ReadString(br); err != nil {
 		return nil, err
 	}
-	if l.Header.Seed, err = readVarint(br); err != nil {
+	if l.Header.Seed, err = wireFmt.ReadVarint(br); err != nil {
 		return nil, err
 	}
-	np, err := readUvarint(br)
+	np, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
 	if np > 0 {
 		l.Header.Params = make(map[string]int64, np)
 		for i := uint64(0); i < np; i++ {
-			k, err := readString(br)
+			k, err := wireFmt.ReadString(br)
 			if err != nil {
 				return nil, err
 			}
-			v, err := readVarint(br)
+			v, err := wireFmt.ReadVarint(br)
 			if err != nil {
 				return nil, err
 			}
 			l.Header.Params[k] = v
 		}
 	}
-	nl, err := readUvarint(br)
+	nl, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
 	if nl > 0 {
 		l.Header.Labels = make(map[string]string, nl)
 		for i := uint64(0); i < nl; i++ {
-			k, err := readString(br)
+			k, err := wireFmt.ReadString(br)
 			if err != nil {
 				return nil, err
 			}
-			v, err := readString(br)
+			v, err := wireFmt.ReadString(br)
 			if err != nil {
 				return nil, err
 			}
@@ -178,7 +175,7 @@ func Decode(r io.Reader) (*Log, error) {
 		}
 	}
 
-	ns, err := readUvarint(br)
+	ns, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +183,7 @@ func Decode(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("%w: empty site table", ErrCorrupt)
 	}
 	for i := uint64(0); i < ns; i++ {
-		name, err := readString(br)
+		name, err := wireFmt.ReadString(br)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +196,7 @@ func Decode(r io.Reader) (*Log, error) {
 		l.Sites.Register(name)
 	}
 
-	ne, err := readUvarint(br)
+	ne, err := wireFmt.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
@@ -211,18 +208,18 @@ func Decode(r io.Reader) (*Log, error) {
 	var prevSeq, prevTime uint64
 	for i := uint64(0); i < ne; i++ {
 		var e Event
-		dSeq, err := readUvarint(br)
+		dSeq, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
-		dTime, err := readUvarint(br)
+		dTime, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
 		prevSeq += dSeq
 		prevTime += dTime
 		e.Seq, e.Time = prevSeq, prevTime
-		tid, err := readVarint(br)
+		tid, err := wireFmt.ReadVarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -235,12 +232,12 @@ func Decode(r io.Reader) (*Log, error) {
 			return nil, fmt.Errorf("%w: bad event kind %d", ErrCorrupt, kb)
 		}
 		e.Kind = EventKind(kb)
-		site, err := readUvarint(br)
+		site, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
 		e.Site = SiteID(site)
-		obj, err := readUvarint(br)
+		obj, err := wireFmt.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -277,11 +274,11 @@ func writeValue(w *bufio.Writer, v Value) {
 	switch v.Kind {
 	case VNil:
 	case VInt, VBool:
-		writeVarint(w, v.Int)
+		wire.WriteVarint(w, v.Int)
 	case VString:
-		writeString(w, v.Str)
+		wire.WriteString(w, v.Str)
 	case VBytes:
-		writeUvarint(w, uint64(len(v.Bytes)))
+		wire.WriteUvarint(w, uint64(len(v.Bytes)))
 		w.Write(v.Bytes)
 	}
 }
@@ -295,15 +292,15 @@ func readValue(r *bufio.Reader) (Value, error) {
 	switch v.Kind {
 	case VNil:
 	case VInt, VBool:
-		if v.Int, err = readVarint(r); err != nil {
+		if v.Int, err = wireFmt.ReadVarint(r); err != nil {
 			return Nil, err
 		}
 	case VString:
-		if v.Str, err = readString(r); err != nil {
+		if v.Str, err = wireFmt.ReadString(r); err != nil {
 			return Nil, err
 		}
 	case VBytes:
-		n, err := readUvarint(r)
+		n, err := wireFmt.ReadUvarint(r)
 		if err != nil {
 			return Nil, err
 		}
@@ -319,53 +316,4 @@ func readValue(r *bufio.Reader) (Value, error) {
 		return Nil, fmt.Errorf("%w: bad value kind %d", ErrCorrupt, kb)
 	}
 	return v, nil
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s)
-}
-
-func readUvarint(r *bufio.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return v, nil
-}
-
-func readVarint(r *bufio.Reader) (int64, error) {
-	v, err := binary.ReadVarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return v, nil
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	const maxString = 16 << 20
-	if n > maxString {
-		return "", fmt.Errorf("%w: implausible string size %d", ErrCorrupt, n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return string(b), nil
 }

@@ -144,7 +144,7 @@ func TestCheckpointedRecordingRoundTripSeek(t *testing.T) {
 	}
 
 	target := loaded.EventCount * 3 / 4
-	sess, err := eng.Seek(ctx, s, loaded, target, debugdet.ReplayOptions{})
+	sess, err := eng.Seek(ctx, s, debugdet.RecordingStore(loaded), target, debugdet.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCheckpointedRecordingRoundTripSeek(t *testing.T) {
 	}
 
 	// A target before the first checkpoint replays from the start.
-	early, err := eng.Seek(ctx, s, loaded, 10, debugdet.ReplayOptions{})
+	early, err := eng.Seek(ctx, s, debugdet.RecordingStore(loaded), 10, debugdet.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestPublicFlightRecorder(t *testing.T) {
 	}
 
 	target := res.Events / 2
-	sess, err := eng.SeekStore(context.Background(), s, st, target, debugdet.ReplayOptions{})
+	sess, err := eng.Seek(context.Background(), s, st, target, debugdet.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPublicFlightRecorder(t *testing.T) {
 		t.Fatal("store seek replay did not reproduce the run")
 	}
 
-	sres, err := eng.ReplaySegmentedStore(context.Background(), s, st, debugdet.ReplayOptions{Workers: 2})
+	sres, err := eng.ReplaySegmented(context.Background(), s, st, debugdet.ReplayOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPublicFlightRecorder(t *testing.T) {
 		t.Fatalf("segmented store replay diverged at %d", sres.Mismatch)
 	}
 
-	d, err := eng.DebugStore(context.Background(), s, st, debugdet.DebugOptions{})
+	d, err := eng.Debug(context.Background(), s, st, debugdet.DebugOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

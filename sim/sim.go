@@ -120,7 +120,8 @@ type PendingOp = vm.PendingOp
 // Snapshot machinery (time-travel replay; see DESIGN.md §5). Snapshots are
 // deterministic captures of machine state at an event boundary: the
 // substrate of checkpointed seek (Engine.Seek), segmented parallel replay
-// (Engine.ReplaySegmented) and the interactive debugger (Engine.Debug).
+// (Engine.ReplaySegmented) and the interactive debugger (Engine.Debug),
+// all of which read them from a SegmentStore (debugdet.RecordingStore).
 type (
 	// Snapshot is one deterministic VM state capture.
 	Snapshot = vm.Snapshot
