@@ -1,6 +1,7 @@
 package debugdet
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -430,6 +431,41 @@ func BenchmarkCheckpointSeek(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRecordingLoad measures opening a saved recording for time
+// travel in the debug-session shape — a perfect bank run with
+// transfers=2000, checkpointed every 1024 events — decoding it and
+// rehydrating every checkpoint's stream histories on each op.
+func BenchmarkRecordingLoad(b *testing.B) {
+	s, err := workload.ByName("bank")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, _, _, err := core.RecordOnly(s, record.Perfect, core.Options{
+		Params:             scenario.Params{"transfers": 2000},
+		CheckpointInterval: 1024,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rec.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := record.Load(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got.Checkpoints) != len(rec.Checkpoints) {
+			b.Fatalf("loaded %d checkpoints, saved %d", len(got.Checkpoints), len(rec.Checkpoints))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rec.Full)), "ns/event")
 }
 
 // BenchmarkFlightRecorder measures the streaming recorder end to end: the

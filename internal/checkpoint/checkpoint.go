@@ -1,8 +1,6 @@
 package checkpoint
 
 import (
-	"fmt"
-
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
 )
@@ -93,142 +91,4 @@ func Best(snaps []*vm.Snapshot, target uint64) *vm.Snapshot {
 		}
 	}
 	return best
-}
-
-// Feeds derives the per-thread operation outcomes of the first seq events
-// of a fully recorded trace: the input vm.Restore needs to rebuild each
-// thread's position by feed replay. events must be the complete event
-// prefix (every event, with values — a perfect-model recording's Full
-// stream); threads is the thread count of the snapshot being restored.
-func Feeds(events []trace.Event, seq uint64, threads int) ([][]vm.FeedEntry, error) {
-	if uint64(len(events)) < seq {
-		return nil, fmt.Errorf("checkpoint: prefix needs %d events, recording has %d", seq, len(events))
-	}
-	feeds := make([][]vm.FeedEntry, threads)
-	for i := uint64(0); i < seq; i++ {
-		e := &events[i]
-		if e.Seq != i {
-			return nil, fmt.Errorf("checkpoint: event %d has seq %d; prefix is not a complete event stream", i, e.Seq)
-		}
-		if e.TID < 0 || int(e.TID) >= threads {
-			return nil, fmt.Errorf("checkpoint: event %d belongs to thread %d, snapshot has %d threads", i, e.TID, threads)
-		}
-		fe := vm.FeedEntry{Kind: e.Kind, OK: true}
-		//lint:exhaustive-default kinds without replay payloads need no feed fields; the zero FeedEntry is correct for them
-		switch e.Kind {
-		case trace.EvLoad, trace.EvRecv, trace.EvInput, trace.EvDiskRead:
-			// The event's taint is the provenance of the value read — the
-			// operation's contribution to the thread's taint register.
-			fe.Val = e.Val
-			fe.Taint = e.Taint
-		case trace.EvStore, trace.EvDiskWrite, trace.EvDiskFsync,
-			trace.EvDiskBarrier, trace.EvDiskCrash:
-			// Disk events carry the operation's result as their value —
-			// the same invariant memory events obey.
-			fe.Val = e.Val
-		case trace.EvSpawn:
-			// A spawn's result is the child thread ID, carried in Obj.
-			fe.Val = trace.Int(int64(e.Obj))
-		case trace.EvYield:
-			// Yields cover failed try-sends/try-receives and expired
-			// timeouts; their second result is false. Plain yields ignore
-			// the outcome entirely.
-			fe.OK = false
-		}
-		feeds[e.TID] = append(feeds[e.TID], fe)
-	}
-	return feeds, nil
-}
-
-// FeedPlan is the shared feed derivation for a whole recording: the full
-// per-thread operation outcomes, plus each checkpoint's per-thread
-// position, computed in one pass. Segmented replay restores many
-// checkpoints of the same recording; slicing one plan instead of
-// re-deriving per segment keeps the non-replay work linear in the trace.
-// The backing arrays are shared between slices and must be treated as
-// read-only, which makes a plan safe for concurrent use.
-type FeedPlan struct {
-	full   [][]vm.FeedEntry
-	counts map[uint64][]int // checkpoint seq → events per thread before it
-}
-
-// PlanFeeds builds the shared feed plan covering every given checkpoint
-// (they must be in trace order, as captured).
-func PlanFeeds(events []trace.Event, cps []*vm.Snapshot) (*FeedPlan, error) {
-	if len(cps) == 0 {
-		return &FeedPlan{counts: map[uint64][]int{}}, nil
-	}
-	last := cps[len(cps)-1]
-	full, err := Feeds(events, last.Seq, len(last.Threads))
-	if err != nil {
-		return nil, err
-	}
-	plan := &FeedPlan{full: full, counts: make(map[uint64][]int, len(cps))}
-	counts := make([]int, len(last.Threads))
-	next := 0
-	for i := uint64(0); next < len(cps); i++ {
-		for next < len(cps) && cps[next].Seq == i {
-			plan.counts[i] = append([]int(nil), counts[:len(cps[next].Threads)]...)
-			next++
-		}
-		if i < uint64(len(events)) && next < len(cps) {
-			counts[events[i].TID]++
-		}
-	}
-	return plan, nil
-}
-
-// At returns the per-thread feeds for restoring the given checkpoint,
-// sliced out of the shared plan.
-func (p *FeedPlan) At(cp *vm.Snapshot) ([][]vm.FeedEntry, error) {
-	counts, ok := p.counts[cp.Seq]
-	if !ok || len(counts) != len(cp.Threads) {
-		return nil, fmt.Errorf("checkpoint: feed plan does not cover checkpoint at %d", cp.Seq)
-	}
-	feeds := make([][]vm.FeedEntry, len(cp.Threads))
-	for tid := range feeds {
-		feeds[tid] = p.full[tid][:counts[tid]]
-	}
-	return feeds, nil
-}
-
-// RehydrateStreams rebuilds the per-stream history portion of decoded
-// snapshots from the recording's event prefix: the consumed input and
-// emitted output sequences are projections of the full event stream, so
-// the codec does not persist them (checkpoint volume stays proportional
-// to live state, not trace length). It validates the rebuilt histories
-// against the persisted input cursors.
-func RehydrateStreams(snaps []*vm.Snapshot, events []trace.Event) error {
-	for _, s := range snaps {
-		if uint64(len(events)) < s.Seq {
-			return fmt.Errorf("checkpoint: rehydrate needs %d events, recording has %d", s.Seq, len(events))
-		}
-		for i := range s.Streams {
-			s.Streams[i].Inputs = nil
-			s.Streams[i].Outputs = nil
-		}
-		for i := uint64(0); i < s.Seq; i++ {
-			e := &events[i]
-			//lint:exhaustive-default only stream events rebuild Inputs/Outputs; other kinds do not touch streams
-			switch e.Kind {
-			case trace.EvInput, trace.EvOutput:
-				if int(e.Obj) >= len(s.Streams) {
-					return fmt.Errorf("checkpoint: event %d touches stream %d, snapshot has %d", i, e.Obj, len(s.Streams))
-				}
-				st := &s.Streams[e.Obj]
-				if e.Kind == trace.EvInput {
-					st.Inputs = append(st.Inputs, e.Val)
-				} else {
-					st.Outputs = append(st.Outputs, e.Val)
-				}
-			}
-		}
-		for i := range s.Streams {
-			if len(s.Streams[i].Inputs) != s.Streams[i].InIndex {
-				return fmt.Errorf("checkpoint: stream %q rebuilt %d inputs, cursor says %d",
-					s.Streams[i].Name, len(s.Streams[i].Inputs), s.Streams[i].InIndex)
-			}
-		}
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -134,8 +135,11 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 	// The codec persists live state only; stream histories come back via
 	// rehydration from the event prefix.
-	if err := checkpoint.RehydrateStreams(got, rec.Full); err != nil {
-		t.Fatal(err)
+	index := checkpoint.NewIndex(rec.Streams, rec.Full)
+	for _, s := range got {
+		if err := index.Rehydrate(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !reflect.DeepEqual(rec.Checkpoints, got) {
 		t.Fatalf("round-trip not lossless:\nwant %+v\ngot  %+v", rec.Checkpoints[0], got[0])
@@ -163,7 +167,7 @@ func TestSnapshotCodecTruncation(t *testing.T) {
 func TestFeedsValidation(t *testing.T) {
 	rec, _ := capture(t, 50)
 	cp := rec.Checkpoints[0]
-	feeds, err := checkpoint.Feeds(rec.Full, cp.Seq, len(cp.Threads))
+	feeds, err := checkpoint.NewIndex(rec.Streams, rec.Full).Feeds(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,18 +196,30 @@ func TestFeedsValidation(t *testing.T) {
 	}
 
 	// Too short a prefix errors.
-	if _, err := checkpoint.Feeds(rec.Full[:10], 50, len(cp.Threads)); err == nil {
+	if _, err := checkpoint.NewIndex(rec.Streams, rec.Full[:10]).Feeds(cp); err == nil {
 		t.Error("short prefix accepted")
 	}
 	// A gappy event stream (value-model shaped) errors.
 	gappy := append([]trace.Event(nil), rec.Full[:50]...)
 	gappy[7].Seq = 99
-	if _, err := checkpoint.Feeds(gappy, 50, len(cp.Threads)); err == nil {
+	if _, err := checkpoint.NewIndex(rec.Streams, gappy).Feeds(cp); err == nil {
 		t.Error("gappy prefix accepted")
 	}
 	// An out-of-range thread errors.
-	if _, err := checkpoint.Feeds(rec.Full, cp.Seq, 1); err == nil {
+	oneThread := *cp
+	oneThread.Threads = cp.Threads[:1]
+	if _, err := checkpoint.NewIndex(rec.Streams, rec.Full).Feeds(&oneThread); err == nil {
 		t.Error("out-of-range thread accepted")
+	}
+	// A thread ID above its event's position names a thread no spawn has
+	// created yet; the index refuses it rather than sizing per-thread
+	// arrays by it.
+	huge := append([]trace.Event(nil), rec.Full[:cp.Seq]...)
+	huge[3].TID = math.MaxInt32
+	if idx := checkpoint.NewIndex(rec.Streams, huge); idx.Err() == nil {
+		t.Error("thread that cannot exist yet accepted")
+	} else if _, err := idx.Feeds(cp); err == nil {
+		t.Error("feeds served past a refused event")
 	}
 }
 
@@ -222,7 +238,7 @@ func TestRestoreRejectsCorruptFeeds(t *testing.T) {
 	}
 	rec, _ := capture(t, 100)
 	cp := rec.Checkpoints[len(rec.Checkpoints)-1]
-	feeds, err := checkpoint.Feeds(rec.Full, cp.Seq, len(cp.Threads))
+	feeds, err := checkpoint.NewIndex(rec.Streams, rec.Full).Feeds(cp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func encodeSnapshot(bw *bufio.Writer, s *vm.Snapshot) {
 	// Stream histories (consumed inputs, emitted outputs) are NOT
 	// persisted: they are projections of the event prefix the recording
 	// already stores in full, so the loader rehydrates them (see
-	// RehydrateStreams). Persisting only the cursor keeps checkpoint
+	// Index.Rehydrate). Persisting only the cursor keeps checkpoint
 	// volume proportional to live state, not to trace length.
 	wire.WriteUvarint(bw, uint64(len(s.Streams)))
 	for i := range s.Streams {

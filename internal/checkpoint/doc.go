@@ -1,9 +1,12 @@
 // Package checkpoint implements time-travel support for recorded
 // executions (DESIGN.md §5): periodic deterministic snapshots of VM state
 // captured while a run is recorded or replayed, a binary codec that
-// persists them inside the .ddrc recording format, and the feed
-// derivation that lets vm.Restore rebuild a machine mid-trace from a
-// snapshot plus the recorded event prefix.
+// persists them inside the .ddrc recording format, and the restore index
+// (Index) that lets vm.Restore rebuild a machine mid-trace from a
+// snapshot plus the recorded event prefix: one pass over a run's events
+// yields every snapshot's feeds and stream histories, plus the schedule
+// and recorded inputs, for the .ddrc loader, both flight-recorder stores
+// and the forker alike.
 //
 // Checkpoints are what make replay latency independent of where in a long
 // trace the developer wants to look: seeking to event k costs one restore

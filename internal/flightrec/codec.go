@@ -106,19 +106,7 @@ func EncodeSegment(w io.Writer, seg *Segment) (int64, error) {
 		return cw.N, err
 	}
 	wire.WriteUvarint(bw, uint64(len(seg.Events)))
-	var prevSeq, prevTime uint64
-	for i := range seg.Events {
-		e := &seg.Events[i]
-		wire.WriteUvarint(bw, e.Seq-prevSeq)
-		wire.WriteUvarint(bw, e.Time-prevTime)
-		prevSeq, prevTime = e.Seq, e.Time
-		wire.WriteVarint(bw, int64(e.TID))
-		bw.WriteByte(byte(e.Kind))
-		wire.WriteUvarint(bw, uint64(e.Site))
-		wire.WriteUvarint(bw, uint64(e.Obj))
-		bw.WriteByte(byte(e.Taint))
-		trace.WriteValue(bw, e.Val)
-	}
+	trace.WriteEvents(bw, seg.Events)
 	if err := bw.Flush(); err != nil {
 		return cw.N, err
 	}
@@ -171,53 +159,8 @@ func DecodeSegment(r io.Reader) (*Segment, error) {
 	if count != seg.To-seg.From {
 		return nil, fmt.Errorf("%w: segment [%d, %d) holds %d events", ErrCorrupt, seg.From, seg.To, count)
 	}
-	seg.Events = make([]trace.Event, 0, count)
-	var prevSeq, prevTime uint64
-	for i := uint64(0); i < count; i++ {
-		var e trace.Event
-		dSeq, err := wireFmt.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		dTime, err := wireFmt.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		prevSeq += dSeq
-		prevTime += dTime
-		e.Seq, e.Time = prevSeq, prevTime
-		tid, err := wireFmt.ReadVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		e.TID = trace.ThreadID(tid)
-		kb, err := readByte(br)
-		if err != nil {
-			return nil, err
-		}
-		if !trace.EventKind(kb).Valid() {
-			return nil, fmt.Errorf("%w: bad event kind %d", ErrCorrupt, kb)
-		}
-		e.Kind = trace.EventKind(kb)
-		site, err := wireFmt.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		e.Site = trace.SiteID(site)
-		obj, err := wireFmt.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		e.Obj = trace.ObjID(obj)
-		tb, err := readByte(br)
-		if err != nil {
-			return nil, err
-		}
-		e.Taint = trace.Taint(tb)
-		if e.Val, err = readValue(br); err != nil {
-			return nil, err
-		}
-		seg.Events = append(seg.Events, e)
+	if seg.Events, err = trace.ReadEvents(br, count, &wireFmt); err != nil {
+		return nil, err
 	}
 	if count > 0 && seg.Events[0].Seq != seg.From {
 		return nil, fmt.Errorf("%w: first event seq %d, segment starts at %d", ErrCorrupt, seg.Events[0].Seq, seg.From)
@@ -392,17 +335,6 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 	return m, nil
 }
 
-// feedEntry is one decoded feed-log record: the event's thread and kind
-// plus the kind-specific payload vm.Restore feeds and the replay input
-// source need.
-type feedEntry struct {
-	TID   trace.ThreadID
-	Kind  trace.EventKind
-	Obj   trace.ObjID
-	Val   trace.Value
-	Taint trace.Taint
-}
-
 // writeFeedHeader writes the feed-log magic and version.
 func writeFeedHeader(bw *bufio.Writer) {
 	bw.WriteString(feedMagic)
@@ -434,9 +366,10 @@ func writeFeedEntry(bw *bufio.Writer, e *trace.Event) {
 }
 
 // readFeedLog decodes a feed log, invoking fn for every entry in event
-// order. It validates the magic and stops at clean EOF; a partial entry
-// is corruption.
-func readFeedLog(r io.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, error) {
+// order with the event it records: Seq (the entry's position), TID, Kind
+// and the kind's payload fields. It validates the magic and stops at
+// clean EOF; a partial entry is corruption.
+func readFeedLog(r io.Reader, fn func(e *trace.Event) error) (uint64, error) {
 	br := bufio.NewReader(r)
 	if err := expectMagic(br, feedMagic, feedVersion); err != nil {
 		return 0, err
@@ -450,7 +383,7 @@ func readFeedLog(r io.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, e
 		if err != nil {
 			return count, fmt.Errorf("%w: feed entry %d: %v", ErrCorrupt, count, err)
 		}
-		fe := feedEntry{TID: trace.ThreadID(tid)}
+		e := trace.Event{Seq: count, TID: trace.ThreadID(tid)}
 		kb, err := readByte(br)
 		if err != nil {
 			return count, err
@@ -458,35 +391,35 @@ func readFeedLog(r io.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, e
 		if !trace.EventKind(kb).Valid() {
 			return count, fmt.Errorf("%w: feed entry %d: bad kind %d", ErrCorrupt, count, kb)
 		}
-		fe.Kind = trace.EventKind(kb)
+		e.Kind = trace.EventKind(kb)
 		//lint:exhaustive-default mirrors writeFeedEntry: payloadless kinds have no record body to read
-		switch fe.Kind {
+		switch e.Kind {
 		case trace.EvLoad, trace.EvRecv, trace.EvDiskRead:
-			if fe.Val, err = readValue(br); err != nil {
+			if e.Val, err = readValue(br); err != nil {
 				return count, err
 			}
 			tb, err := readByte(br)
 			if err != nil {
 				return count, err
 			}
-			fe.Taint = trace.Taint(tb)
+			e.Taint = trace.Taint(tb)
 		case trace.EvInput:
 			obj, err := wireFmt.ReadUvarint(br)
 			if err != nil {
 				return count, err
 			}
-			fe.Obj = trace.ObjID(obj)
-			if fe.Val, err = readValue(br); err != nil {
+			e.Obj = trace.ObjID(obj)
+			if e.Val, err = readValue(br); err != nil {
 				return count, err
 			}
 			tb, err := readByte(br)
 			if err != nil {
 				return count, err
 			}
-			fe.Taint = trace.Taint(tb)
+			e.Taint = trace.Taint(tb)
 		case trace.EvStore, trace.EvDiskWrite, trace.EvDiskFsync,
 			trace.EvDiskBarrier, trace.EvDiskCrash:
-			if fe.Val, err = readValue(br); err != nil {
+			if e.Val, err = readValue(br); err != nil {
 				return count, err
 			}
 		case trace.EvOutput:
@@ -494,8 +427,8 @@ func readFeedLog(r io.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, e
 			if err != nil {
 				return count, err
 			}
-			fe.Obj = trace.ObjID(obj)
-			if fe.Val, err = readValue(br); err != nil {
+			e.Obj = trace.ObjID(obj)
+			if e.Val, err = readValue(br); err != nil {
 				return count, err
 			}
 		case trace.EvSpawn:
@@ -503,33 +436,13 @@ func readFeedLog(r io.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, e
 			if err != nil {
 				return count, err
 			}
-			fe.Obj = trace.ObjID(obj)
+			e.Obj = trace.ObjID(obj)
 		}
-		if err := fn(count, &fe); err != nil {
+		if err := fn(&e); err != nil {
 			return count, err
 		}
 		count++
 	}
-}
-
-// feed derives the vm.FeedEntry of one feed-log record, mirroring
-// checkpoint.Feeds' per-kind rules exactly.
-func (fe *feedEntry) feed() vm.FeedEntry {
-	out := vm.FeedEntry{Kind: fe.Kind, OK: true}
-	//lint:exhaustive-default mirrors checkpoint.Feeds: kinds without replay payloads keep the zero FeedEntry fields
-	switch fe.Kind {
-	case trace.EvLoad, trace.EvRecv, trace.EvInput, trace.EvDiskRead:
-		out.Val = fe.Val
-		out.Taint = fe.Taint
-	case trace.EvStore, trace.EvDiskWrite, trace.EvDiskFsync,
-		trace.EvDiskBarrier, trace.EvDiskCrash:
-		out.Val = fe.Val
-	case trace.EvSpawn:
-		out.Val = trace.Int(int64(fe.Obj))
-	case trace.EvYield:
-		out.OK = false
-	}
-	return out
 }
 
 // Shared low-level helpers, in the style of the checkpoint codec.

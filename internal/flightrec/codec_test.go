@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -195,8 +198,8 @@ func TestManifestRejectsTruncation(t *testing.T) {
 }
 
 // TestFeedLogRoundtrip checks that a feed log written from a recording's
-// event stream reproduces exactly the feeds checkpoint.Feeds derives from
-// the same events, plus the schedule stream.
+// event stream reproduces exactly the restore index built from the same
+// events, plus the schedule stream.
 func TestFeedLogRoundtrip(t *testing.T) {
 	s := workload.Bank()
 	rec := recordCheckpointed(t, s, 64)
@@ -210,13 +213,10 @@ func TestFeedLogRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	threads := maxTID(rec.Full) + 1
-	var perThread [][]vm.FeedEntry = make([][]vm.FeedEntry, threads)
-	var sched []trace.ThreadID
-	count, err := readFeedLog(bytes.NewReader(buf.Bytes()), func(i uint64, fe *feedEntry) error {
-		perThread[fe.TID] = append(perThread[fe.TID], fe.feed())
-		sched = append(sched, fe.TID)
-		return nil
+	index := checkpoint.NewIndex(rec.Streams, nil)
+	count, err := readFeedLog(bytes.NewReader(buf.Bytes()), func(e *trace.Event) error {
+		index.Add(e)
+		return index.Err()
 	})
 	if err != nil {
 		t.Fatalf("read: %v", err)
@@ -224,15 +224,54 @@ func TestFeedLogRoundtrip(t *testing.T) {
 	if count != uint64(len(rec.Full)) {
 		t.Fatalf("read %d entries, wrote %d", count, len(rec.Full))
 	}
-	want, err := checkpoint.Feeds(rec.Full, uint64(len(rec.Full)), threads)
+	if !reflect.DeepEqual(index, checkpoint.NewIndex(rec.Streams, rec.Full)) {
+		t.Fatal("index built from the feed log differs from the index built from Full")
+	}
+	if !reflect.DeepEqual(index.Sched(0), rec.Sched) {
+		t.Fatal("feed-log schedule differs from recorded schedule")
+	}
+}
+
+// TestDiskStoreRejectsImpossibleThread: a feed log whose entry names a
+// thread that cannot exist yet makes the store report ErrCorrupt rather
+// than sizing per-thread state by the corrupt ID.
+func TestDiskStoreRejectsImpossibleThread(t *testing.T) {
+	s := workload.Bank()
+	dir := filepath.Join(t.TempDir(), "spill")
+	if _, err := Record(s, s.DefaultSeed, nil, Options{Interval: 64, SpillDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, feedLogName)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(perThread, want) {
-		t.Fatal("feed-log feeds differ from checkpoint.Feeds derivation")
+	var events []trace.Event
+	if _, err := readFeedLog(bytes.NewReader(raw), func(e *trace.Event) error {
+		events = append(events, *e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sched, rec.Sched) {
-		t.Fatal("feed-log schedule differs from recorded schedule")
+	events[5].TID = math.MaxInt32
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	writeFeedHeader(bw)
+	for i := range events {
+		writeFeedEntry(bw, &events[i])
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Sched(0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -254,19 +293,9 @@ func TestFeedLogTruncation(t *testing.T) {
 	full := buf.Bytes()
 	total := uint64(len(rec.Full))
 	for cut := 0; cut < len(full); cut++ {
-		count, err := readFeedLog(bytes.NewReader(full[:cut]), func(uint64, *feedEntry) error { return nil })
+		count, err := readFeedLog(bytes.NewReader(full[:cut]), func(*trace.Event) error { return nil })
 		if err == nil && count >= total {
 			t.Fatalf("prefix of %d/%d bytes read all %d entries without error", cut, len(full), total)
 		}
 	}
-}
-
-func maxTID(events []trace.Event) int {
-	max := 0
-	for i := range events {
-		if int(events[i].TID) > max {
-			max = int(events[i].TID)
-		}
-	}
-	return max
 }

@@ -6,19 +6,19 @@ import (
 	"path/filepath"
 	"sync"
 
+	"debugdet/internal/checkpoint"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
 )
 
 // DiskStore is a spill directory opened for replay. The manifest is read
 // eagerly; segment files lazily (and cached); the feed log on first
-// demand, in one pass that derives everything vm.Restore and the replay
-// configuration need: the full per-thread feeds, per-boundary feed
-// counts, the schedule stream, the absolute per-stream input sequences,
-// and the input/output records that rehydrate boundary snapshots' stream
-// histories. Opening a store therefore costs O(run) memory at debug time
-// — the bounded resource is the recorder's memory at record time, not the
-// debugger's.
+// demand, in one pass that adds every entry to the run's restore index
+// (checkpoint.Index) — the source of the feeds, schedule, recorded inputs
+// and boundary-snapshot stream histories that vm.Restore and the replay
+// configuration need. Opening a store therefore costs O(run) memory at
+// debug time — the bounded resource is the recorder's memory at record
+// time, not the debugger's.
 //
 // A DiskStore is safe for concurrent readers.
 type DiskStore struct {
@@ -28,27 +28,9 @@ type DiskStore struct {
 	mu   sync.Mutex
 	segs map[int]*Segment // by position in man.Segments
 
-	feedOnce sync.Once
-	feedErr  error
-	feeds    *feedData
-}
-
-// feedData is everything one scan of the feed log yields.
-type feedData struct {
-	perThread [][]vm.FeedEntry
-	counts    map[uint64][]int // boundary seq → events per thread before it
-	sched     []trace.ThreadID
-	inputs    map[string][]trace.Value
-	ios       []ioRec
-}
-
-// ioRec is one input/output event of the run, for stream-history
-// rehydration: event index, direction, stream and value.
-type ioRec struct {
-	idx uint64
-	in  bool
-	obj trace.ObjID
-	val trace.Value
+	indexOnce sync.Once
+	index     *checkpoint.Index
+	indexErr  error
 }
 
 // Open reads the manifest of a spill directory and returns the store.
@@ -134,8 +116,12 @@ func (ds *DiskStore) segment(i int) (*Segment, error) {
 	}
 	seg.Bytes, seg.File = si.Bytes, si.File
 	if seg.Snap != nil {
-		if err := ds.rehydrate(seg.Snap); err != nil {
+		idx, err := ds.restoreIndex()
+		if err != nil {
 			return nil, err
+		}
+		if err := idx.Rehydrate(seg.Snap); err != nil {
+			return nil, fmt.Errorf("%w: snapshot at %d: %v", ErrCorrupt, seg.Snap.Seq, err)
 		}
 	}
 	ds.mu.Lock()
@@ -146,38 +132,6 @@ func (ds *DiskStore) segment(i int) (*Segment, error) {
 	}
 	ds.mu.Unlock()
 	return seg, nil
-}
-
-// rehydrate rebuilds a boundary snapshot's per-stream histories from the
-// feed log's input/output records (the codec persists only the cursor).
-func (ds *DiskStore) rehydrate(snap *vm.Snapshot) error {
-	fd, err := ds.feedData()
-	if err != nil {
-		return err
-	}
-	for _, io := range fd.ios {
-		if io.idx >= snap.Seq {
-			break
-		}
-		if int(io.obj) >= len(snap.Streams) {
-			return fmt.Errorf("%w: stream %d in feed log, snapshot at %d has %d streams",
-				ErrCorrupt, io.obj, snap.Seq, len(snap.Streams))
-		}
-		st := &snap.Streams[io.obj]
-		if io.in {
-			st.Inputs = append(st.Inputs, io.val)
-		} else {
-			st.Outputs = append(st.Outputs, io.val)
-		}
-	}
-	for i := range snap.Streams {
-		st := &snap.Streams[i]
-		if len(st.Inputs) != st.InIndex {
-			return fmt.Errorf("%w: snapshot at %d stream %q rebuilt %d inputs, cursor is %d",
-				ErrCorrupt, snap.Seq, st.Name, len(st.Inputs), st.InIndex)
-		}
-	}
-	return nil
 }
 
 // BestSnapshot implements Store: the latest retained boundary snapshot
@@ -213,118 +167,63 @@ func (ds *DiskStore) SnapshotSeqs() []uint64 {
 	return seqs
 }
 
-// Feeds implements Store: slices of the shared full-feed arrays, using
-// the per-boundary counts precomputed during the feed-log scan (with an
-// O(seq) recount as fallback for seqs that are not segment boundaries).
+// Feeds implements Store from the restore index, for any snapshot seq.
 func (ds *DiskStore) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
-	fd, err := ds.feedData()
+	idx, err := ds.restoreIndex()
 	if err != nil {
 		return nil, err
 	}
-	counts, ok := fd.counts[snap.Seq]
-	if !ok {
-		if snap.Seq > uint64(len(fd.sched)) {
-			return nil, fmt.Errorf("flightrec: feeds need %d events, log has %d", snap.Seq, len(fd.sched))
-		}
-		counts = make([]int, len(fd.perThread))
-		for _, tid := range fd.sched[:snap.Seq] {
-			counts[tid]++
-		}
-	}
-	feeds := make([][]vm.FeedEntry, len(snap.Threads))
-	for tid := range feeds {
-		if tid < len(counts) && tid < len(fd.perThread) {
-			feeds[tid] = fd.perThread[tid][:counts[tid]]
-		}
+	feeds, err := idx.Feeds(snap)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return feeds, nil
 }
 
 // Sched implements Store.
 func (ds *DiskStore) Sched(from uint64) ([]trace.ThreadID, error) {
-	fd, err := ds.feedData()
+	idx, err := ds.restoreIndex()
 	if err != nil {
 		return nil, err
 	}
-	if from >= uint64(len(fd.sched)) {
-		return nil, nil
-	}
-	return fd.sched[from:], nil
+	return idx.Sched(from), nil
 }
 
 // Inputs implements Store.
 func (ds *DiskStore) Inputs() (vm.InputSource, error) {
-	fd, err := ds.feedData()
+	idx, err := ds.restoreIndex()
 	if err != nil {
 		return nil, err
 	}
-	return &vm.MapInputs{Values: fd.inputs, Base: vm.ZeroInputs}, nil
+	return &vm.MapInputs{Values: idx.Inputs(), Base: vm.ZeroInputs}, nil
 }
 
-// feedData scans the feed log once and caches the result.
-func (ds *DiskStore) feedData() (*feedData, error) {
-	ds.feedOnce.Do(func() {
-		ds.feeds, ds.feedErr = ds.scanFeeds()
+// restoreIndex scans the feed log once and caches the result.
+func (ds *DiskStore) restoreIndex() (*checkpoint.Index, error) {
+	ds.indexOnce.Do(func() {
+		ds.index, ds.indexErr = ds.scanFeeds()
 	})
-	return ds.feeds, ds.feedErr
+	return ds.index, ds.indexErr
 }
 
-// scanFeeds is the single feed-log pass.
-func (ds *DiskStore) scanFeeds() (*feedData, error) {
+// scanFeeds is the single feed-log pass: every entry, decoded into its
+// event, goes into the run's restore index.
+func (ds *DiskStore) scanFeeds() (*checkpoint.Index, error) {
 	f, err := os.Open(filepath.Join(ds.dir, feedLogName))
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: feed log: %w", err)
 	}
 	defer f.Close()
-	fd := &feedData{
-		counts: make(map[uint64][]int),
-		inputs: make(map[string][]trace.Value),
-	}
-	bounds := ds.SnapshotSeqs()
-	next := 0
-	perTID := []int{}
-	streams := ds.man.Meta.Streams
-	count, err := readFeedLog(f, func(i uint64, fe *feedEntry) error {
-		for next < len(bounds) && bounds[next] == i {
-			fd.counts[i] = append([]int(nil), perTID...)
-			next++
-		}
-		tid := int(fe.TID)
-		if tid < 0 {
-			return fmt.Errorf("%w: feed entry %d has thread %d", ErrCorrupt, i, tid)
-		}
-		for tid >= len(fd.perThread) {
-			fd.perThread = append(fd.perThread, nil)
-			perTID = append(perTID, 0)
-		}
-		fd.perThread[tid] = append(fd.perThread[tid], fe.feed())
-		perTID[tid]++
-		fd.sched = append(fd.sched, fe.TID)
-		//lint:exhaustive-default only stream events feed the rehydrated inputs and io index; other kinds are schedule-only here
-		switch fe.Kind {
-		case trace.EvInput:
-			if int(fe.Obj) >= len(streams) {
-				return fmt.Errorf("%w: feed entry %d reads stream %d, manifest has %d streams", ErrCorrupt, i, fe.Obj, len(streams))
-			}
-			fd.inputs[streams[fe.Obj]] = append(fd.inputs[streams[fe.Obj]], fe.Val)
-			fd.ios = append(fd.ios, ioRec{idx: i, in: true, obj: fe.Obj, val: fe.Val})
-		case trace.EvOutput:
-			if int(fe.Obj) >= len(streams) {
-				return fmt.Errorf("%w: feed entry %d writes stream %d, manifest has %d streams", ErrCorrupt, i, fe.Obj, len(streams))
-			}
-			fd.ios = append(fd.ios, ioRec{idx: i, in: false, obj: fe.Obj, val: fe.Val})
-		}
-		return nil
+	idx := checkpoint.NewIndex(ds.man.Meta.Streams, nil)
+	count, err := readFeedLog(f, func(e *trace.Event) error {
+		idx.Add(e)
+		return idx.Err()
 	})
 	if err != nil {
-		return nil, err
-	}
-	for next < len(bounds) && bounds[next] == count {
-		fd.counts[count] = append([]int(nil), perTID...)
-		next++
+		return nil, corrupt(err)
 	}
 	if count != ds.man.FeedCount {
 		return nil, fmt.Errorf("%w: feed log has %d entries, manifest declares %d", ErrCorrupt, count, ds.man.FeedCount)
 	}
-	return fd, nil
+	return idx, nil
 }

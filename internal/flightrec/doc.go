@@ -37,5 +37,8 @@
 // replay.Segmented and the store-backed Debugger consume it in place
 // of a monolithic *record.Recording. NewRecordingStore adapts an in-memory
 // Recording, Open a spill directory, so every replay entry point works
-// identically over both.
+// identically over both. Both derive their restore inputs — feeds,
+// schedule, recorded inputs and boundary-snapshot stream histories — from
+// one checkpoint.Index: the recording store indexes its events, the disk
+// store its feed log, decoded back into events.
 package flightrec

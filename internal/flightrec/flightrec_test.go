@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"debugdet/internal/checkpoint"
 	"debugdet/internal/flightrec"
 	"debugdet/internal/record"
 	"debugdet/internal/replay"
@@ -198,6 +199,108 @@ func TestFlightSeekEquivalence(t *testing.T) {
 				t.Fatalf("state at boundary %d differs from snapshot: %v", q, err)
 			}
 			sess.Close()
+		})
+	}
+}
+
+// TestStoresDeriveSameRestoreInputs: a recording and a spill directory of
+// the same run, checkpointed at the same interval, derive identical
+// restore inputs — the schedule, the recorded inputs, the boundary
+// snapshots with their stream histories, and the feeds of every boundary
+// and of a snapshot taken between boundaries. The deadlock scenario adds
+// a run that ends in a machine event, which belongs to no thread.
+func TestStoresDeriveSameRestoreInputs(t *testing.T) {
+	deadlock, err := workload.ByName("deadlock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append(flightScenarios(t), deadlock) {
+		t.Run(s.Name, func(t *testing.T) {
+			interval := max(uint64(len(plainRecording(t, s).Full))/5, 4)
+			var w *checkpoint.Writer
+			rec, _, err := record.RecordWithPolicy(s, record.Perfect, func(m *vm.Machine) (record.Policy, []vm.Observer) {
+				w = checkpoint.NewWriter(m, interval)
+				return record.PolicyFor(record.Perfect), []vm.Observer{w}
+			}, s.DefaultSeed, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Checkpoints = w.Snapshots()
+			rs := flightrec.NewRecordingStore(rec)
+			ds := flightRecord(t, s, flightrec.Options{Interval: interval}).Store
+
+			rsched, err := rs.Sched(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dsched, err := ds.Sched(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rsched, dsched) {
+				t.Fatal("schedules differ")
+			}
+			rin, err := rs.Inputs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			din, err := ds.Inputs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range rec.Streams {
+				if !reflect.DeepEqual(rin.(*vm.MapInputs).Values[name], din.(*vm.MapInputs).Values[name]) {
+					t.Fatalf("stream %q: recorded inputs differ", name)
+				}
+			}
+
+			feedsAgree := func(rsnap, dsnap *vm.Snapshot) {
+				t.Helper()
+				rf, err := rs.Feeds(rsnap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				df, err := ds.Feeds(dsnap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rf, df) {
+					t.Fatalf("feeds at %d differ", rsnap.Seq)
+				}
+			}
+			seqs := ds.SnapshotSeqs()
+			if len(seqs) == 0 {
+				t.Fatalf("no boundary snapshots with interval %d", interval)
+			}
+			for _, q := range seqs {
+				rsnap, err := rs.BestSnapshot(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dsnap, err := ds.BestSnapshot(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rsnap == nil || dsnap == nil || rsnap.Seq != q || dsnap.Seq != q {
+					t.Fatalf("boundary %d: snapshots %v and %v", q, rsnap, dsnap)
+				}
+				if err := dsnap.EqualState(rsnap); err != nil {
+					t.Fatalf("boundary %d: %v", q, err)
+				}
+				feedsAgree(rsnap, dsnap)
+			}
+
+			q := seqs[0] + interval/2
+			sess, err := replay.SeekStore(s, ds, q, replay.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			snap := sess.Machine.Snapshot(vm.NoRunningThread)
+			if snap.Seq != q {
+				t.Fatalf("session paused at %d, want %d", snap.Seq, q)
+			}
+			feedsAgree(snap, snap)
 		})
 	}
 }

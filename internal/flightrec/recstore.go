@@ -12,19 +12,15 @@ import (
 // RecordingStore adapts an in-memory *record.Recording to the Store
 // interface, so the store-backed replay entry points subsume the
 // monolithic ones: a recording is simply a store that retains everything.
-// Derived state (the input source, the shared feed plan) is built lazily
-// and exactly once, then shared read-only — segmented replay workers all
-// slice the same plan, as they did before the interface existed.
+// The restore index over the recording's events is built lazily and
+// exactly once, then shared read-only — segmented replay workers all
+// slice the same arrays.
 type RecordingStore struct {
 	rec    *record.Recording
 	bounds []uint64
 
-	inputsOnce sync.Once
-	inputs     vm.InputSource
-
-	planOnce sync.Once
-	plan     *checkpoint.FeedPlan
-	planErr  error
+	indexOnce sync.Once
+	index     *checkpoint.Index
 }
 
 // NewRecordingStore wraps rec. The recording is shared, not copied, and
@@ -99,19 +95,9 @@ func (rs *RecordingStore) SnapshotSeqs() []uint64 {
 	return seqs
 }
 
-// Feeds implements Store by slicing the lazily built shared feed plan,
-// falling back to a direct derivation for snapshots the plan does not
-// cover (e.g. materialized mid-debug).
+// Feeds implements Store from the restore index, for any snapshot seq.
 func (rs *RecordingStore) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
-	rs.planOnce.Do(func() {
-		rs.plan, rs.planErr = checkpoint.PlanFeeds(rs.rec.Full, rs.rec.Checkpoints)
-	})
-	if rs.planErr == nil && rs.plan != nil {
-		if feeds, err := rs.plan.At(snap); err == nil {
-			return feeds, nil
-		}
-	}
-	return checkpoint.Feeds(rs.rec.Full, snap.Seq, len(snap.Threads))
+	return rs.restoreIndex().Feeds(snap)
 }
 
 // Sched implements Store; the returned slice aliases the recording.
@@ -126,8 +112,17 @@ func (rs *RecordingStore) Sched(from uint64) ([]trace.ThreadID, error) {
 // a zero base (replay beyond the recorded horizon reads zeros, exactly as
 // the pre-store seek did).
 func (rs *RecordingStore) Inputs() (vm.InputSource, error) {
-	rs.inputsOnce.Do(func() {
-		rs.inputs = &vm.MapInputs{Values: rs.rec.InputsByStream(), Base: vm.ZeroInputs}
+	idx := rs.restoreIndex()
+	if err := idx.Err(); err != nil {
+		return nil, err
+	}
+	return &vm.MapInputs{Values: idx.Inputs(), Base: vm.ZeroInputs}, nil
+}
+
+// restoreIndex builds the recording's restore index on first use.
+func (rs *RecordingStore) restoreIndex() *checkpoint.Index {
+	rs.indexOnce.Do(func() {
+		rs.index = checkpoint.NewIndex(rs.rec.Streams, rs.rec.Full)
 	})
-	return rs.inputs, nil
+	return rs.index
 }

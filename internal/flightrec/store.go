@@ -137,10 +137,9 @@ func EventRange(st Store, lo, hi uint64) ([]trace.Event, error) {
 
 // snapOverlay decorates a store with externally materialized snapshots —
 // how the debugger retrofits checkpoints onto a checkpoint-free store
-// after replaying it once with a checkpoint writer attached. Feeds are
-// derived from the store's own retained events, so the overlay only works
-// when the store retains the full prefix of every overlay snapshot (true
-// for checkpoint-free stores, which hold one segment from 0).
+// after replaying it once with a checkpoint writer attached. Everything
+// else, feeds included, comes from the wrapped store, which serves any
+// snapshot seq of its run.
 type snapOverlay struct {
 	Store
 	snaps []*vm.Snapshot
@@ -164,13 +163,4 @@ func (o *snapOverlay) SnapshotSeqs() []uint64 {
 		seqs[i] = s.Seq
 	}
 	return seqs
-}
-
-// Feeds implements Store by deriving feeds from the retained events.
-func (o *snapOverlay) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
-	events, err := EventRange(o.Store, 0, snap.Seq)
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.Feeds(events, snap.Seq, len(snap.Threads))
 }

@@ -44,8 +44,9 @@ type forkPath struct {
 	streams []string
 	// snaps are the periodic snapshots, in trace order.
 	snaps []*vm.Snapshot
-	// plan is the shared feed derivation covering every snapshot.
-	plan *checkpoint.FeedPlan
+	// index is the restore index of events up to the last snapshot,
+	// serving every snapshot's feeds; nil when there are no snapshots.
+	index *checkpoint.Index
 	// view is the finished execution, shared with reuse candidates.
 	view *scenario.RunView
 }
@@ -228,11 +229,11 @@ func reuseView(p *forkPath, seed int64) *scenario.RunView {
 
 // runForked restores base's state from snap and executes only the
 // candidate's suffix. A false ok falls back to a from-scratch run — the
-// fork machinery refusing (a feed-plan gap, a restore validation error, a
+// fork machinery refusing (a restore-index gap, a restore validation error, a
 // dry-run disagreement below the snapshot) never costs correctness, only
 // the shortcut.
 func (f *Forker) runForked(c Candidate, pEff scenario.Params, base *forkPath, snap *vm.Snapshot) (view *scenario.RunView, steps, cycles uint64, ok bool) {
-	feeds, err := base.plan.At(snap)
+	feeds, err := base.index.Feeds(snap)
 	if err != nil {
 		return nil, 0, 0, false
 	}
@@ -332,20 +333,27 @@ func (f *Forker) runScratch(c Candidate, pEff scenario.Params) (*scenario.RunVie
 	return view, view.Result.Steps, view.Result.Cycles
 }
 
-// insert retains a finished execution in the forest. A feed-plan failure
-// (a trace that is not a complete event stream) just skips retention.
+// insert retains a finished execution in the forest. A trace the restore
+// index refuses (not a complete event stream) just skips retention. Only
+// the prefix up to the last snapshot is indexed: runForked restores from
+// no other seq, so a path without snapshots needs no index at all.
 func (f *Forker) insert(pEff scenario.Params, view *scenario.RunView, rounds []vm.SchedRound, snaps []*vm.Snapshot) {
-	plan, err := checkpoint.PlanFeeds(view.Trace.Events, snaps)
-	if err != nil {
-		return
+	streams := view.Machine.StreamNames()
+	var index *checkpoint.Index
+	if len(snaps) > 0 {
+		events := view.Trace.Events
+		index = checkpoint.NewIndex(streams, events[:min(snaps[len(snaps)-1].Seq, uint64(len(events)))])
+		if index.Err() != nil {
+			return
+		}
 	}
 	f.forest = append(f.forest, &forkPath{
 		params:  pEff,
 		rounds:  rounds,
 		events:  view.Trace.Events,
-		streams: view.Machine.StreamNames(),
+		streams: streams,
 		snaps:   snaps,
-		plan:    plan,
+		index:   index,
 		view:    view,
 	})
 }

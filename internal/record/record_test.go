@@ -2,6 +2,8 @@ package record
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 
 	"debugdet/internal/checkpoint"
@@ -216,6 +218,40 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	for _, cut := range []int{3, 10, len(full) / 2} {
 		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("Load accepted truncation at %d", cut)
+		}
+	}
+
+	// Every strict prefix of a checkpointed recording is reported as a
+	// bad recording, whichever section the cut lands in.
+	buf.Reset()
+	if err := recordCheckpointedBank(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full = buf.Bytes()
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := Load(bytes.NewReader(full[:cut])); !errors.Is(err, ErrBadRecording) {
+			t.Fatalf("prefix of %d/%d bytes: err = %v, want ErrBadRecording", cut, len(full), err)
+		}
+	}
+}
+
+// TestLoadRejectsImpossibleThread: a checkpointed recording whose event
+// names a thread that cannot exist yet is a bad recording — refused
+// before any per-thread state is sized by the corrupt ID.
+func TestLoadRejectsImpossibleThread(t *testing.T) {
+	for _, at := range []string{"first", "last"} {
+		rec := recordCheckpointedBank(t)
+		i := 5
+		if at == "last" {
+			i = len(rec.Full) - 1
+		}
+		rec.Full[i].TID = math.MaxInt32
+		var buf bytes.Buffer
+		if err := rec.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); !errors.Is(err, ErrBadRecording) {
+			t.Fatalf("thread %d at the %s event: err = %v, want ErrBadRecording", int32(math.MaxInt32), at, err)
 		}
 	}
 }

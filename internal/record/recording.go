@@ -237,11 +237,11 @@ func Load(rd io.Reader) (*Recording, error) {
 	}
 	l, err := trace.Decode(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadRecording, err)
 	}
 	model, err := ParseModel(l.Header.Model)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadRecording, err)
 	}
 	r := &Recording{
 		Scenario: l.Header.Scenario,
@@ -291,9 +291,19 @@ func Load(rd io.Reader) (*Recording, error) {
 		}
 		// The codec persists only the live-state portion of each snapshot;
 		// the per-stream histories are projections of the event prefix and
-		// are rebuilt from it here.
-		if err := checkpoint.RehydrateStreams(snaps, r.Full); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
+		// are rebuilt from it here. Only checkpointed files are indexed,
+		// and their Full must be a complete event stream: relaxed-model
+		// recordings carry no checkpoints, and their Full is not one.
+		if len(snaps) > 0 {
+			idx := checkpoint.NewIndex(r.Streams, r.Full)
+			if err := idx.Err(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
+			}
+			for _, s := range snaps {
+				if err := idx.Rehydrate(s); err != nil {
+					return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
+				}
+			}
 		}
 		r.Checkpoints = snaps
 	}

@@ -92,19 +92,7 @@ func Encode(w io.Writer, l *Log) (int64, error) {
 	}
 
 	wire.WriteUvarint(bw, uint64(len(l.Events)))
-	var prevSeq, prevTime uint64
-	for i := range l.Events {
-		e := &l.Events[i]
-		wire.WriteUvarint(bw, e.Seq-prevSeq)
-		wire.WriteUvarint(bw, e.Time-prevTime)
-		prevSeq, prevTime = e.Seq, e.Time
-		wire.WriteVarint(bw, int64(e.TID))
-		bw.WriteByte(byte(e.Kind))
-		wire.WriteUvarint(bw, uint64(e.Site))
-		wire.WriteUvarint(bw, uint64(e.Obj))
-		bw.WriteByte(byte(e.Taint))
-		writeValue(bw, e.Val)
-	}
+	WriteEvents(bw, l.Events)
 	if err := bw.Flush(); err != nil {
 		return cw.N, err
 	}
@@ -123,7 +111,7 @@ func Decode(r io.Reader) (*Log, error) {
 	}
 	ver, err := br.ReadByte()
 	if err != nil {
-		return nil, err
+		return nil, wireFmt.Corrupt(err)
 	}
 	if ver != logVersion {
 		return nil, fmt.Errorf("%w: got %d want %d", ErrBadVersion, ver, logVersion)
@@ -204,55 +192,85 @@ func Decode(r io.Reader) (*Log, error) {
 	if ne > maxEvents {
 		return nil, fmt.Errorf("%w: implausible event count %d", ErrCorrupt, ne)
 	}
-	l.Events = make([]Event, 0, ne)
+	if l.Events, err = ReadEvents(br, ne, &wireFmt); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// WriteEvents writes the bodies of events in the layout the log and the
+// flight recorder's segment files share: per event, the seq and time
+// deltas from the previous event (from zero for the first), tid zigzag,
+// kind u8, site and obj uvarints, taint u8 and the value. The event count
+// and its bound are the caller's.
+func WriteEvents(w *bufio.Writer, events []Event) {
 	var prevSeq, prevTime uint64
-	for i := uint64(0); i < ne; i++ {
+	for i := range events {
+		e := &events[i]
+		wire.WriteUvarint(w, e.Seq-prevSeq)
+		wire.WriteUvarint(w, e.Time-prevTime)
+		prevSeq, prevTime = e.Seq, e.Time
+		wire.WriteVarint(w, int64(e.TID))
+		w.WriteByte(byte(e.Kind))
+		wire.WriteUvarint(w, uint64(e.Site))
+		wire.WriteUvarint(w, uint64(e.Obj))
+		w.WriteByte(byte(e.Taint))
+		writeValue(w, e.Val)
+	}
+}
+
+// ReadEvents reads n event bodies written by WriteEvents. Every failure
+// wraps the sentinel of the caller's format f.
+func ReadEvents(r *bufio.Reader, n uint64, f *wire.Format) ([]Event, error) {
+	events := make([]Event, 0, n)
+	var prevSeq, prevTime uint64
+	for i := uint64(0); i < n; i++ {
 		var e Event
-		dSeq, err := wireFmt.ReadUvarint(br)
+		dSeq, err := f.ReadUvarint(r)
 		if err != nil {
 			return nil, err
 		}
-		dTime, err := wireFmt.ReadUvarint(br)
+		dTime, err := f.ReadUvarint(r)
 		if err != nil {
 			return nil, err
 		}
 		prevSeq += dSeq
 		prevTime += dTime
 		e.Seq, e.Time = prevSeq, prevTime
-		tid, err := wireFmt.ReadVarint(br)
+		tid, err := f.ReadVarint(r)
 		if err != nil {
 			return nil, err
 		}
 		e.TID = ThreadID(tid)
-		kb, err := br.ReadByte()
+		kb, err := r.ReadByte()
 		if err != nil {
-			return nil, err
+			return nil, f.Corrupt(err)
 		}
-		if EventKind(kb) >= kindCount {
-			return nil, fmt.Errorf("%w: bad event kind %d", ErrCorrupt, kb)
+		if !EventKind(kb).Valid() {
+			return nil, f.Corrupt(fmt.Errorf("bad event kind %d", kb))
 		}
 		e.Kind = EventKind(kb)
-		site, err := wireFmt.ReadUvarint(br)
+		site, err := f.ReadUvarint(r)
 		if err != nil {
 			return nil, err
 		}
 		e.Site = SiteID(site)
-		obj, err := wireFmt.ReadUvarint(br)
+		obj, err := f.ReadUvarint(r)
 		if err != nil {
 			return nil, err
 		}
 		e.Obj = ObjID(obj)
-		tb, err := br.ReadByte()
+		tb, err := r.ReadByte()
 		if err != nil {
-			return nil, err
+			return nil, f.Corrupt(err)
 		}
 		e.Taint = Taint(tb)
-		if e.Val, err = readValue(br); err != nil {
-			return nil, err
+		if e.Val, err = readValue(r); err != nil {
+			return nil, f.Corrupt(err)
 		}
-		l.Events = append(l.Events, e)
+		events = append(events, e)
 	}
-	return l, nil
+	return events, nil
 }
 
 // EncodedSize returns the size in bytes Encode would produce, without
@@ -286,7 +304,7 @@ func writeValue(w *bufio.Writer, v Value) {
 func readValue(r *bufio.Reader) (Value, error) {
 	kb, err := r.ReadByte()
 	if err != nil {
-		return Nil, err
+		return Nil, wireFmt.Corrupt(err)
 	}
 	v := Value{Kind: ValueKind(kb)}
 	switch v.Kind {
@@ -310,7 +328,7 @@ func readValue(r *bufio.Reader) (Value, error) {
 		}
 		v.Bytes = make([]byte, n)
 		if _, err := io.ReadFull(r, v.Bytes); err != nil {
-			return Nil, err
+			return Nil, wireFmt.Corrupt(err)
 		}
 	default:
 		return Nil, fmt.Errorf("%w: bad value kind %d", ErrCorrupt, kb)

@@ -136,8 +136,9 @@ func TestRunnableIndexMatchesFullScan(t *testing.T) {
 		// Restore from every checkpoint and run the suffix under the
 		// recorded schedule, with and without time gates: the rebuilt
 		// index must hold restored deadlines and restored object state.
+		index := checkpoint.NewIndex(orig.Machine.StreamNames(), orig.Trace.Events)
 		for i, snap := range w.Snapshots() {
-			feeds, err := checkpoint.Feeds(orig.Trace.Events, snap.Seq, len(snap.Threads))
+			feeds, err := index.Feeds(snap)
 			if err != nil {
 				t.Fatalf("%s: feeds at %d: %v", r, snap.Seq, err)
 			}
