@@ -10,10 +10,9 @@
 //	              -against BENCH_after.json -threshold 25
 //
 // Stdin is echoed through to stdout, so the raw benchmark output stays in
-// the CI log. Benchmarks absent from the reference are new: they are not
-// compared (there is nothing to compare against) and are instead adopted
-// into the reference snapshot as fresh entries, so the next run has a
-// baseline. Reference entries absent from stdin are ignored (the smoke
+// the CI log. The reference snapshot is only read, never written.
+// Benchmarks absent from it have no baseline: they are reported on stderr
+// and skipped. Reference entries absent from stdin are ignored (the smoke
 // run benches a subset). Either file flag may be empty to skip that half
 // of the job.
 package main
@@ -78,16 +77,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtraj: appended %d benchmarks to %s\n", len(marks), *trajectory)
 	}
 	if *against != "" {
-		regressions, fresh, err := compare(*against, marks, *threshold)
+		regressions, err := compare(*against, marks, *threshold)
 		if err != nil {
 			fatal(err)
-		}
-		if len(fresh) > 0 {
-			if err := adoptNew(*against, fresh); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "benchtraj: adopted %d new benchmark(s) into %s\n",
-				len(fresh), *against)
 		}
 		if len(regressions) > 0 {
 			fmt.Fprintf(os.Stderr, "benchtraj: %d regression(s) beyond %.0f%% vs %s:\n",
@@ -157,17 +149,16 @@ func appendRun(path, label string, marks []mark) error {
 // compare checks each measured benchmark against the reference snapshot,
 // describing every ns/op regression beyond the threshold percent.
 // Benchmarks with no baseline (absent from the reference, or a zero/
-// negative ns/op that would make the percentage meaningless) are returned
-// separately for adoption — a new benchmark must never read as a
-// regression.
-func compare(path string, marks []mark, threshold float64) (regressions []string, fresh []mark, err error) {
+// negative ns/op that would make the percentage meaningless) are reported
+// and skipped — a new benchmark must never read as a regression.
+func compare(path string, marks []mark, threshold float64) (regressions []string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var ref reference
 	if err := json.Unmarshal(data, &ref); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	base := make(map[string]float64, len(ref.Benchmarks))
 	for _, b := range ref.Benchmarks {
@@ -176,8 +167,7 @@ func compare(path string, marks []mark, threshold float64) (regressions []string
 	for _, m := range marks {
 		old, ok := base[m.Name]
 		if !ok || old <= 0 {
-			fmt.Fprintf(os.Stderr, "benchtraj: %s has no baseline in %s; adopting as a new entry\n", m.Name, path)
-			fresh = append(fresh, m)
+			fmt.Fprintf(os.Stderr, "benchtraj: %s has no baseline in %s; skipped\n", m.Name, path)
 			continue
 		}
 		pct := (m.NsPerOp - old) / old * 100
@@ -186,41 +176,7 @@ func compare(path string, marks []mark, threshold float64) (regressions []string
 				"%s: %.0f ns/op vs %.0f (%+.1f%%)", m.Name, m.NsPerOp, old, pct))
 		}
 	}
-	return regressions, fresh, nil
-}
-
-// adoptNew appends benchmarks that had no baseline to the reference
-// snapshot's benchmark list, preserving every other field of the document
-// (command, label, cpu, ...), so the next comparison has a baseline for
-// them. A measured entry that merely replaces a zero-ns/op baseline is
-// appended too; compare's baseline map keeps the last occurrence of a
-// name, so the stale zero entry is simply shadowed.
-func adoptNew(path string, fresh []mark) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	var benches []mark
-	if raw, ok := doc["benchmarks"]; ok {
-		if err := json.Unmarshal(raw, &benches); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	benches = append(benches, fresh...)
-	raw, err := json.Marshal(benches)
-	if err != nil {
-		return err
-	}
-	doc["benchmarks"] = raw
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	return regressions, nil
 }
 
 func fatal(err error) {

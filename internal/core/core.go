@@ -92,20 +92,6 @@ type Options struct {
 	// GOMAXPROCS, 1 = sequential; negative rejected). The evaluation
 	// result is identical for every worker count.
 	Workers int
-	// ForkReplay enables checkpoint-forked candidate execution in the
-	// replay-inference search: candidates sharing a prefix with an
-	// earlier candidate re-execute only their suffix from a VM snapshot,
-	// and equivalent candidates are pruned. The replayed execution,
-	// acceptance and attempt counts are bit-identical to the from-scratch
-	// search; only the executed work (and with it DE's denominator)
-	// shrinks. See infer.Options.Fork and the T-FORK table.
-	ForkReplay bool
-	// ForkInterval is the snapshot interval for forked replay execution
-	// (0 = checkpoint default; negative rejected).
-	ForkInterval int64
-	// ForkPaths bounds the forked prefix forest (0 = 8; negative
-	// rejected).
-	ForkPaths int
 	// FlightRecorder configures RecordStreaming's always-on bounded-memory
 	// recording: the spill directory, the in-memory ring size and the
 	// on-disk retention cap. Only RecordStreaming reads it; Record and
@@ -119,7 +105,7 @@ type Options struct {
 }
 
 // validate rejects option values that would otherwise be silently
-// reinterpreted. The replay-facing knobs (Workers, the fork knobs)
+// reinterpreted. The replay-facing knobs (Workers, ReplayBudget)
 // delegate to replay.Options.Validate, so the SDK surface rejects the
 // same domains the engine does.
 func (o Options) validate() error {
@@ -147,9 +133,6 @@ func (o Options) replayOptions() replay.Options {
 		MaxSteps:     o.MaxSteps,
 		Workers:      o.Workers,
 		Suspects:     o.Suspects,
-		Fork:         o.ForkReplay,
-		ForkInterval: o.ForkInterval,
-		ForkPaths:    o.ForkPaths,
 	}
 }
 

@@ -78,7 +78,7 @@ func (r ForkRow) Saving() float64 {
 }
 
 // TableFork runs T-FORK: each case twice per search seed — from scratch
-// and with Fork enabled — comparing outcomes, attempts and total search
+// and with infer.Options.Fork enabled — comparing outcomes, attempts and total search
 // work.
 func TableFork(o Options) ([]ForkRow, error) {
 	o = o.withDefaults()
@@ -106,7 +106,9 @@ func TableFork(o Options) ([]ForkRow, error) {
 	return rows, nil
 }
 
-// forkSearchRow measures a Fig1-class model reconstruction.
+// forkSearchRow measures a Fig1-class model reconstruction: the
+// inference search that replay.Replay runs for the recording
+// (replay.SearchConfig), with and without forking.
 func forkSearchRow(s *scenario.Scenario, model record.Model, o Options) (ForkRow, error) {
 	rec, _, _, err := core.RecordOnly(s, model, core.Options{Ctx: o.Ctx})
 	if err != nil {
@@ -114,15 +116,18 @@ func forkSearchRow(s *scenario.Scenario, model record.Model, o Options) (ForkRow
 	}
 	row := ForkRow{Scenario: s.Name, Shape: "search", Identical: true}
 	for _, seed := range forkSearchSeeds {
-		ro := replay.Options{
+		accept, io, err := replay.SearchConfig(s, rec, replay.Options{
 			Ctx:        o.Ctx,
 			Budget:     o.ReplayBudget,
 			SearchSeed: seed,
 			Workers:    1,
+		})
+		if err != nil {
+			return row, err
 		}
-		base := replay.Replay(s, rec, ro)
-		ro.Fork = true
-		fork := replay.Replay(s, rec, ro)
+		base := infer.Search(s, accept, io)
+		io.Fork = true
+		fork := infer.Search(s, accept, io)
 		if base.Err != nil {
 			return row, base.Err
 		}
@@ -136,7 +141,8 @@ func forkSearchRow(s *scenario.Scenario, model record.Model, o Options) (ForkRow
 		row.ForkAttempts += fork.Attempts
 		row.BaseWorkSteps += base.WorkSteps
 		row.ForkWorkSteps += fork.WorkSteps
-		row.Identical = row.Identical && sameAccepted(base, fork)
+		row.Identical = row.Identical && base.Note == fork.Note &&
+			trace.EventsEqual(base.View.Trace, fork.View.Trace, false)
 	}
 	return row, nil
 }

@@ -1,8 +1,6 @@
 package flightrec
 
 import (
-	"sync"
-
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/record"
 	"debugdet/internal/trace"
@@ -12,15 +10,13 @@ import (
 // RecordingStore adapts an in-memory *record.Recording to the Store
 // interface, so the store-backed replay entry points subsume the
 // monolithic ones: a recording is simply a store that retains everything.
-// The restore index over the recording's events is built lazily and
-// exactly once, then shared read-only — segmented replay workers all
-// slice the same arrays.
+// Feeds and inputs come from the recording's own restore index
+// (record.Recording.RestoreIndex), built once per recording and shared
+// read-only by every store over it — segmented replay workers all slice
+// the same arrays.
 type RecordingStore struct {
 	rec    *record.Recording
 	bounds []uint64
-
-	indexOnce sync.Once
-	index     *checkpoint.Index
 }
 
 // NewRecordingStore wraps rec. The recording is shared, not copied, and
@@ -97,7 +93,7 @@ func (rs *RecordingStore) SnapshotSeqs() []uint64 {
 
 // Feeds implements Store from the restore index, for any snapshot seq.
 func (rs *RecordingStore) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
-	return rs.restoreIndex().Feeds(snap)
+	return rs.rec.RestoreIndex().Feeds(snap)
 }
 
 // Sched implements Store; the returned slice aliases the recording.
@@ -112,17 +108,9 @@ func (rs *RecordingStore) Sched(from uint64) ([]trace.ThreadID, error) {
 // a zero base (replay beyond the recorded horizon reads zeros, exactly as
 // the pre-store seek did).
 func (rs *RecordingStore) Inputs() (vm.InputSource, error) {
-	idx := rs.restoreIndex()
+	idx := rs.rec.RestoreIndex()
 	if err := idx.Err(); err != nil {
 		return nil, err
 	}
 	return &vm.MapInputs{Values: idx.Inputs(), Base: vm.ZeroInputs}, nil
-}
-
-// restoreIndex builds the recording's restore index on first use.
-func (rs *RecordingStore) restoreIndex() *checkpoint.Index {
-	rs.indexOnce.Do(func() {
-		rs.index = checkpoint.NewIndex(rs.rec.Streams, rs.rec.Full)
-	})
-	return rs.index
 }

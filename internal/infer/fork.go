@@ -51,6 +51,11 @@ type forkPath struct {
 	view *scenario.RunView
 }
 
+// maxForest bounds the prefix forest: once it holds that many
+// retained executions, later candidates still fork off it but are not
+// retained themselves.
+const maxForest = 8
+
 // ForkerConfig configures a Forker. Every candidate run through one
 // Forker shares these bounds: fork soundness needs candidates that agree
 // on a prefix to agree on how the run around it is configured.
@@ -60,13 +65,8 @@ type ForkerConfig struct {
 	// Interval is the event interval between snapshots on retained
 	// executions (0 = checkpoint.DefaultInterval).
 	Interval uint64
-	// MaxPaths bounds the prefix forest (0 = 8).
-	MaxPaths int
 	// MaxSteps bounds each candidate execution (0 = VM default).
 	MaxSteps uint64
-	// RelaxTime lifts time gates on sleeps and timeouts, as forced-schedule
-	// replay requires (see vm.Config.RelaxTime).
-	RelaxTime bool
 }
 
 // Forker runs candidate executions by forking them off retained prefixes
@@ -81,9 +81,7 @@ type ForkerConfig struct {
 type Forker struct {
 	s        *scenario.Scenario
 	interval uint64
-	maxPaths int
 	maxSteps uint64
-	relax    bool
 	grow     bool
 	forest   []*forkPath
 }
@@ -94,16 +92,10 @@ func NewForker(cfg ForkerConfig) *Forker {
 	if interval == 0 {
 		interval = checkpoint.DefaultInterval
 	}
-	maxPaths := cfg.MaxPaths
-	if maxPaths == 0 {
-		maxPaths = 8
-	}
 	return &Forker{
 		s:        cfg.Scenario,
 		interval: interval,
-		maxPaths: maxPaths,
 		maxSteps: cfg.MaxSteps,
-		relax:    cfg.RelaxTime,
 		grow:     true,
 	}
 }
@@ -254,14 +246,13 @@ func (f *Forker) runForked(c Candidate, pEff scenario.Params, base *forkPath, sn
 		}
 		prefix++
 	}
-	insert := f.grow && len(f.forest) < f.maxPaths
+	insert := f.grow && len(f.forest) < maxForest
 	m, err := vm.Restore(vm.Config{
 		Seed:         c.Seed,
 		Scheduler:    sched,
 		Inputs:       c.Inputs(),
 		MaxSteps:     f.maxSteps,
 		CollectTrace: true,
-		RelaxTime:    f.relax,
 		LogRounds:    insert,
 	}, func(mm *vm.Machine) func(*vm.Thread) { return f.s.Build(mm, pEff) }, snap, feeds)
 	if err != nil {
@@ -309,7 +300,7 @@ func (f *Forker) runForked(c Candidate, pEff scenario.Params, base *forkPath, sn
 // candidate of every parameter group, candidates that diverge before the
 // first snapshot, and any candidate the fork machinery refused.
 func (f *Forker) runScratch(c Candidate, pEff scenario.Params) (*scenario.RunView, uint64, uint64) {
-	insert := f.grow && len(f.forest) < f.maxPaths
+	insert := f.grow && len(f.forest) < maxForest
 	var cw *checkpoint.Writer
 	eo := scenario.ExecOptions{
 		Seed:      c.Seed,
@@ -317,7 +308,6 @@ func (f *Forker) runScratch(c Candidate, pEff scenario.Params) (*scenario.RunVie
 		Scheduler: c.Scheduler(),
 		Inputs:    c.Inputs(),
 		MaxSteps:  f.maxSteps,
-		RelaxTime: f.relax,
 		LogRounds: insert,
 	}
 	if insert {

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ func acceptedEqual(t *testing.T, label string, a, b *Outcome) {
 // TestForkedSearchBitEquivalent is the tentpole contract: the forked
 // search accepts the identical candidate, with identical Attempts, as the
 // sequential from-scratch search — across scenario styles (ESD signature
-// search with shrinking, ODR output search, deadlock search, exhaustion),
+// search with shrinking, ODR output searches, deadlock search, exhaustion),
 // snapshot intervals and worker counts.
 func TestForkedSearchBitEquivalent(t *testing.T) {
 	odr := workload.MsgDrop()
@@ -50,6 +51,12 @@ func TestForkedSearchBitEquivalent(t *testing.T) {
 	want := orig.Result.Outputs
 	acceptODR := func(v *scenario.RunView) bool {
 		return reflect.DeepEqual(v.Result.Outputs, want)
+	}
+
+	sum := workload.Sum()
+	sumWant := sum.Exec(scenario.ExecOptions{Seed: sum.DefaultSeed}).Result.Outputs
+	acceptSum := func(v *scenario.RunView) bool {
+		return reflect.DeepEqual(v.Result.Outputs, sumWant)
 	}
 
 	esd := workload.Overflow()
@@ -73,6 +80,7 @@ func TestForkedSearchBitEquivalent(t *testing.T) {
 		opts   Options
 	}{
 		"odr-msgdrop": {odr, acceptODR, Options{Budget: 120, BaseSeed: 7}},
+		"odr-sum":     {sum, acceptSum, Options{Budget: 120}},
 		"esd-overflow": {esd, acceptESD, Options{
 			Budget: 120, BaseSeed: 7,
 			ShrinkParams: []scenario.Params{{"requests": 2}, {"requests": 4}},
@@ -81,30 +89,32 @@ func TestForkedSearchBitEquivalent(t *testing.T) {
 		"exhausted": {esd, func(*scenario.RunView) bool { return false }, Options{Budget: 37, BaseSeed: 3}},
 	}
 	for name, tc := range cases {
-		seqOpts := tc.opts
-		seqOpts.Workers = 1
-		seq := Search(tc.s, tc.accept, seqOpts)
-		for _, cfg := range []struct {
-			label    string
-			workers  int
-			interval int64
-		}{
-			{"fork-w1", 1, 0},
-			{"fork-w1-i64", 1, 64},
-			{"fork-w4", 4, 0},
-			{"fork-w4-i64", 4, 64},
-		} {
-			forkOpts := tc.opts
-			forkOpts.Workers = cfg.workers
-			forkOpts.Fork = true
-			forkOpts.ForkInterval = cfg.interval
-			fork := Search(tc.s, tc.accept, forkOpts)
-			acceptedEqual(t, name+"/"+cfg.label, seq, fork)
-			if fork.WorkSteps > seq.WorkSteps {
-				t.Fatalf("%s/%s: forked search executed more steps (%d) than scratch (%d)",
-					name, cfg.label, fork.WorkSteps, seq.WorkSteps)
+		t.Run(name, func(t *testing.T) {
+			seqOpts := tc.opts
+			seqOpts.Workers = 1
+			seq := Search(tc.s, tc.accept, seqOpts)
+			for _, cfg := range []struct {
+				label    string
+				workers  int
+				interval int64
+			}{
+				{"fork-w1", 1, 0},
+				{"fork-w1-i64", 1, 64},
+				{"fork-w4", 4, 0},
+				{"fork-w4-i64", 4, 64},
+			} {
+				forkOpts := tc.opts
+				forkOpts.Workers = cfg.workers
+				forkOpts.Fork = true
+				forkOpts.ForkInterval = cfg.interval
+				fork := Search(tc.s, tc.accept, forkOpts)
+				acceptedEqual(t, name+"/"+cfg.label, seq, fork)
+				if fork.WorkSteps > seq.WorkSteps {
+					t.Fatalf("%s/%s: forked search executed more steps (%d) than scratch (%d)",
+						name, cfg.label, fork.WorkSteps, seq.WorkSteps)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -243,6 +253,26 @@ func TestForkerBoundaries(t *testing.T) {
 	if _, rSteps, _ := g.Run(clone); rSteps != 0 {
 		t.Fatalf("snapshot-free reuse executed %d steps, want 0", rSteps)
 	}
+
+	// Forest bound: candidates that each diverge at the first draw cannot
+	// fork, so each runs from scratch and is retained until the forest
+	// holds maxForest executions. Past that bound nothing more is
+	// retained, and every candidate still matches its scratch execution.
+	h := NewForker(ForkerConfig{Scenario: s, Interval: 16})
+	for k := 1; k <= maxForest+4; k++ {
+		vals := append([]trace.Value(nil), picks...)
+		vals[0] = trace.Int(picks[0].AsInt() + int64(k))
+		c := mk(int64(200+k), vals)
+		v, steps, _ := h.Run(c)
+		label := fmt.Sprintf("bound-%d", k)
+		same(label, v, scratchOf(c))
+		if steps != v.Result.Steps {
+			t.Fatalf("%s: executed %d of %d steps, want a full scratch run", label, steps, v.Result.Steps)
+		}
+		if want := min(k, maxForest); len(h.forest) != want {
+			t.Fatalf("%s: forest holds %d paths, want %d", label, len(h.forest), want)
+		}
+	}
 }
 
 // TestSearchValidatesOptions pins Options.Validate and its wiring into
@@ -255,7 +285,6 @@ func TestSearchValidatesOptions(t *testing.T) {
 		"workers":       {Workers: -1},
 		"budget":        {Budget: -5},
 		"fork-interval": {Fork: true, ForkInterval: -256},
-		"fork-paths":    {Fork: true, ForkPaths: -2},
 	}
 	for name, o := range cases {
 		out := Search(s, reject, o)

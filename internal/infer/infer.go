@@ -103,9 +103,6 @@ type Options struct {
 	// Validate). Smaller intervals fork closer to the divergence point at
 	// the price of more snapshot memory per retained path.
 	ForkInterval int64
-	// ForkPaths bounds the prefix forest (0 = 8; negative is rejected by
-	// Validate).
-	ForkPaths int
 }
 
 // Validate rejects option values outside their domain instead of silently
@@ -122,9 +119,6 @@ func (o Options) Validate() error {
 	}
 	if o.ForkInterval < 0 {
 		return fmt.Errorf("infer: ForkInterval must be >= 0 (0 = checkpoint default), got %d", o.ForkInterval)
-	}
-	if o.ForkPaths < 0 {
-		return fmt.Errorf("infer: ForkPaths must be >= 0 (0 = default 8), got %d", o.ForkPaths)
 	}
 	return nil
 }
@@ -357,7 +351,6 @@ func searchForked(s *scenario.Scenario, accept func(*scenario.RunView) bool, o O
 	f := NewForker(ForkerConfig{
 		Scenario: s,
 		Interval: uint64(o.ForkInterval),
-		MaxPaths: o.ForkPaths,
 		MaxSteps: o.MaxSteps,
 	})
 	run := func(pt paramTry) (*scenario.RunView, uint64, uint64) {

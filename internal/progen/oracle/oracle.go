@@ -205,20 +205,28 @@ func CheckWorkerInvariance(p progen.Program, budget int) error {
 }
 
 // CheckForkEquivalence is oracle (d): checkpoint-forked candidate
-// execution (replay.Options.Fork / infer.Forker) must accept the
-// identical candidate as the from-scratch search — same acceptance, same
-// attempt count, same note, same event stream and failure identity —
-// across snapshot intervals and worker counts. Only the work counters
-// may legitimately differ (shrinking them is the point of forking), and
-// forking must never execute more events than scratch.
+// execution (infer.Options.Fork, run through infer.Forker) must accept
+// the identical candidate as the from-scratch search — same acceptance,
+// same attempt count, same note, same event stream and failure identity
+// — across snapshot intervals and worker counts. The search is the one
+// failure-determinism replay runs (replay.SearchConfig). Only the work
+// counters may legitimately differ (shrinking them is the point of
+// forking), and forking must never execute more events than scratch.
 func CheckForkEquivalence(p progen.Program, budget int) error {
 	rec, _, _, err := core.RecordOnly(p.Scenario, record.Failure, evalOpts(p, budget, 1))
 	if err != nil {
 		return fmt.Errorf("progen: failure record: %w", err)
 	}
-	base := replay.Replay(p.Scenario, rec, replay.Options{Budget: budget, Workers: 1})
+	if !rec.Failed {
+		return nil // nothing to synthesize, so no search to compare
+	}
+	accept, io, err := replay.SearchConfig(p.Scenario, rec, replay.Options{Budget: budget, Workers: 1})
+	if err != nil {
+		return fmt.Errorf("progen: failure search: %w", err)
+	}
+	base := infer.Search(p.Scenario, accept, io)
 	if base.Err != nil {
-		return fmt.Errorf("progen: scratch replay: %w", base.Err)
+		return fmt.Errorf("progen: scratch search: %w", base.Err)
 	}
 	for _, cfg := range []struct {
 		workers  int
@@ -226,14 +234,13 @@ func CheckForkEquivalence(p progen.Program, budget int) error {
 	}{
 		{1, 0}, {1, 64}, {3, 0},
 	} {
-		fork := replay.Replay(p.Scenario, rec, replay.Options{
-			Budget:       budget,
-			Workers:      cfg.workers,
-			Fork:         true,
-			ForkInterval: cfg.interval,
-		})
+		fo := io
+		fo.Workers = cfg.workers
+		fo.Fork = true
+		fo.ForkInterval = cfg.interval
+		fork := infer.Search(p.Scenario, accept, fo)
 		if fork.Err != nil {
-			return fmt.Errorf("progen: forked replay (workers=%d interval=%d): %w",
+			return fmt.Errorf("progen: forked search (workers=%d interval=%d): %w",
 				cfg.workers, cfg.interval, fork.Err)
 		}
 		if fork.Ok != base.Ok || fork.Attempts != base.Attempts || fork.Note != base.Note {
@@ -242,23 +249,23 @@ func CheckForkEquivalence(p progen.Program, budget int) error {
 				fork.Ok, fork.Attempts, fork.Note, base.Ok, base.Attempts, base.Note)
 		}
 		if (base.View == nil) != (fork.View == nil) {
-			return fmt.Errorf("progen: fork variance on %s (gen=%d seed=%d): one replay has a view, the other does not",
+			return fmt.Errorf("progen: fork variance on %s (gen=%d seed=%d): one search has a view, the other does not",
 				p.Scenario.Name, p.GenSeed, p.Seed)
 		}
 		if base.View != nil {
 			if !trace.EventsEqual(base.View.Trace, fork.View.Trace, false) {
-				return fmt.Errorf("progen: forked replay of %s (gen=%d seed=%d, workers=%d interval=%d) accepted a different event stream",
+				return fmt.Errorf("progen: forked search of %s (gen=%d seed=%d, workers=%d interval=%d) accepted a different event stream",
 					p.Scenario.Name, p.GenSeed, p.Seed, cfg.workers, cfg.interval)
 			}
 			bf, bs := p.Scenario.CheckFailure(base.View)
 			ff, fs := p.Scenario.CheckFailure(fork.View)
 			if bf != ff || bs != fs {
-				return fmt.Errorf("progen: forked replay failure identity %v/%q, scratch %v/%q",
+				return fmt.Errorf("progen: forked search failure identity %v/%q, scratch %v/%q",
 					ff, fs, bf, bs)
 			}
 		}
 		if fork.WorkSteps > base.WorkSteps {
-			return fmt.Errorf("progen: forked replay of %s (gen=%d seed=%d, workers=%d interval=%d) executed more steps (%d) than scratch (%d)",
+			return fmt.Errorf("progen: forked search of %s (gen=%d seed=%d, workers=%d interval=%d) executed more steps (%d) than scratch (%d)",
 				p.Scenario.Name, p.GenSeed, p.Seed, cfg.workers, cfg.interval,
 				fork.WorkSteps, base.WorkSteps)
 		}

@@ -23,12 +23,9 @@
 // the thread schedule").
 //
 // Replaying an RCSE recording re-synthesizes the unrecorded data plane by
-// search (replay.Replay, model debug-rcse). Because every candidate in
-// that search shares the recording's forced schedule and control inputs,
-// it benefits most from checkpoint-forked candidate execution
-// (infer.Forker, replay.Options.Fork): candidates re-execute only from
-// their first differing data-plane draw, and equivalent candidates are
-// pruned to zero work.
+// a few from-scratch tries (replay.Replay, model debug-rcse), each forcing
+// the recording's schedule and control inputs and re-drawing data-plane
+// inputs from a different seed.
 package rcse
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"debugdet/internal/checkpoint"
@@ -377,6 +378,41 @@ func TestLoadRejectsCheckpointTruncation(t *testing.T) {
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("prefix of %d/%d bytes loaded without error", cut, len(full))
+		}
+	}
+}
+
+// TestRestoreIndexBuiltOnce: a loaded checkpointed recording keeps the
+// index Load rehydrated through, and concurrent readers, value copies
+// included, all get that one index.
+func TestRestoreIndexBuiltOnce(t *testing.T) {
+	var buf bytes.Buffer
+	if err := recordCheckpointedBank(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := *rec
+	got := make([]*checkpoint.Index, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				got[i] = rec.RestoreIndex()
+			} else {
+				got[i] = copied.RestoreIndex()
+			}
+		}(i)
+	}
+	wg.Wait()
+	want := rec.RestoreIndex()
+	for i, x := range got {
+		if x != want {
+			t.Fatalf("reader %d got a different index", i)
 		}
 	}
 }

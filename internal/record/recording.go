@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/scenario"
@@ -63,6 +64,32 @@ type Recording struct {
 	BaseCycles  uint64
 	TotalCycles uint64
 	EventCount  uint64
+
+	// index caches the restore index over Full; see RestoreIndex. A
+	// pointer, so value copies of a Recording share one cache.
+	index *lazyIndex
+}
+
+// lazyIndex holds a recording's restore index, built once on first use.
+type lazyIndex struct {
+	once sync.Once
+	x    *checkpoint.Index
+}
+
+// RestoreIndex returns the restore index over the recording's events
+// (checkpoint.Index: per-thread feeds, schedule, recorded inputs and
+// stream histories for any snapshot). It is built on first use and then
+// shared by every caller: Load's snapshot rehydration and every
+// flightrec.RecordingStore over the recording, so every seek. It is safe
+// for concurrent use; Full and Streams must not change once it is built.
+// A Recording made by neither Capture nor Load has no cache and builds a
+// fresh index per call.
+func (r *Recording) RestoreIndex() *checkpoint.Index {
+	if r.index == nil {
+		return checkpoint.NewIndex(r.Streams, r.Full)
+	}
+	r.index.once.Do(func() { r.index.x = checkpoint.NewIndex(r.Streams, r.Full) })
+	return r.index.x
 }
 
 // Capture finalizes a recording after the recorded run finished: it stores
@@ -86,6 +113,7 @@ func Capture(s *scenario.Scenario, view *scenario.RunView, r *Recorder, model Mo
 		BaseCycles:    view.Result.BaseCycles(),
 		TotalCycles:   view.Result.TotalCycles(),
 		EventCount:    r.events,
+		index:         new(lazyIndex),
 	}
 }
 
@@ -249,6 +277,7 @@ func Load(rd io.Reader) (*Recording, error) {
 		Seed:     l.Header.Seed,
 		Params:   scenario.Params(l.Header.Params),
 		Full:     l.Events,
+		index:    new(lazyIndex),
 	}
 	lab := l.Header.Labels
 	r.Failed = lab["failed"] == "true"
@@ -291,11 +320,13 @@ func Load(rd io.Reader) (*Recording, error) {
 		}
 		// The codec persists only the live-state portion of each snapshot;
 		// the per-stream histories are projections of the event prefix and
-		// are rebuilt from it here. Only checkpointed files are indexed,
-		// and their Full must be a complete event stream: relaxed-model
-		// recordings carry no checkpoints, and their Full is not one.
+		// are rebuilt from it here, through the recording's own restore
+		// index, which later stores reuse. Only checkpointed files are
+		// indexed, and their Full must be a complete event stream:
+		// relaxed-model recordings carry no checkpoints, and their Full is
+		// not one.
 		if len(snaps) > 0 {
-			idx := checkpoint.NewIndex(r.Streams, r.Full)
+			idx := r.RestoreIndex()
 			if err := idx.Err(); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
 			}

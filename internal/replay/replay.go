@@ -20,6 +20,7 @@ package replay
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"debugdet/internal/infer"
@@ -55,20 +56,6 @@ type Options struct {
 	// search uses them to visit its PCT candidates first. See
 	// infer.Options.Suspects for the bit-identity contract.
 	Suspects []sites.Suspect
-	// Fork enables checkpoint-forked candidate execution for every
-	// search-shaped model (output, failure, debug-rcse): candidates that
-	// share a prefix with an earlier candidate re-execute only their
-	// suffix from a snapshot, and equivalent candidates are pruned
-	// outright. Acceptance, Attempts and the replayed view are
-	// bit-identical to the from-scratch replay; only
-	// WorkCycles/WorkSteps shrink. See infer.Options.Fork.
-	Fork bool
-	// ForkInterval is the snapshot interval for forked execution
-	// (0 = checkpoint default; negative rejected).
-	ForkInterval int64
-	// ForkPaths bounds the forked prefix forest (0 = 8; negative
-	// rejected).
-	ForkPaths int
 }
 
 // Validate rejects out-of-domain option values, delegating the knobs
@@ -76,11 +63,8 @@ type Options struct {
 // calls it and surfaces the error through Result.Err.
 func (o Options) Validate() error {
 	return infer.Options{
-		Budget:       o.Budget,
-		Workers:      o.Workers,
-		Fork:         o.Fork,
-		ForkInterval: o.ForkInterval,
-		ForkPaths:    o.ForkPaths,
+		Budget:  o.Budget,
+		Workers: o.Workers,
 	}.Validate()
 }
 
@@ -128,9 +112,9 @@ func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 	case record.Value:
 		return replayValue(s, rec, o)
 	case record.Output:
-		return replayOutput(s, rec, o)
+		return replaySearch(s, rec, o, "output-constrained search")
 	case record.Failure:
-		return replayFailure(s, rec, o)
+		return replaySearch(s, rec, o, "failure-signature search")
 	case record.DebugRCSE:
 		return replayRCSE(s, rec, o)
 	}
@@ -191,57 +175,26 @@ func replayRCSE(s *scenario.Scenario, rec *record.Recording, o Options) *Result 
 	if o.Budget < tries {
 		tries = o.Budget
 	}
-	// The tries share the complete forced schedule and all control-plane
-	// inputs, so they diverge only at data-plane draws — often not at all.
-	// Forked execution collapses that shared prefix: each try re-executes
-	// only from its first differing data-input value, and tries without
-	// data-plane draws are pruned to zero work.
-	var forker *infer.Forker
-	if o.Fork {
-		forker = infer.NewForker(infer.ForkerConfig{
-			Scenario:  s,
-			Interval:  uint64(o.ForkInterval),
-			MaxPaths:  o.ForkPaths,
-			MaxSteps:  o.MaxSteps,
-			RelaxTime: true,
-		})
-	}
 	for i := 0; i < tries; i++ {
 		if err := o.Ctx.Err(); err != nil {
 			res.Err = err
 			res.Note = "replay canceled"
 			return res
 		}
-		searchSeed := o.SearchSeed + int64(i)
-		inputs := func() vm.InputSource {
-			return &vm.MapInputs{
+		view := s.Exec(scenario.ExecOptions{
+			Seed:      rec.Seed,
+			Params:    rec.Params,
+			Scheduler: vm.NewReplayScheduler(rec.Sched),
+			Inputs: &vm.MapInputs{
 				Values: forced,
-				Base:   s.SearchSource(searchSeed, s.DefaultParams.Clone(rec.Params)),
-			}
-		}
-		var view *scenario.RunView
-		var steps, cycles uint64
-		if forker != nil {
-			view, steps, cycles = forker.Run(infer.Candidate{
-				Seed:      rec.Seed,
-				Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(rec.Sched) },
-				Inputs:    inputs,
-				Params:    rec.Params,
-			})
-		} else {
-			view = s.Exec(scenario.ExecOptions{
-				Seed:      rec.Seed,
-				Params:    rec.Params,
-				Scheduler: vm.NewReplayScheduler(rec.Sched),
-				Inputs:    inputs(),
-				MaxSteps:  o.MaxSteps,
-				RelaxTime: true,
-			})
-			steps, cycles = view.Result.Steps, view.Result.Cycles
-		}
+				Base:   s.SearchSource(o.SearchSeed+int64(i), s.DefaultParams.Clone(rec.Params)),
+			},
+			MaxSteps:  o.MaxSteps,
+			RelaxTime: true,
+		})
 		res.Attempts++
-		res.WorkCycles += cycles
-		res.WorkSteps += steps
+		res.WorkCycles += view.Result.Cycles
+		res.WorkSteps += view.Result.Steps
 		res.View = view
 		if view.Result.Outcome != vm.OutcomeDiverged && replayMatchesTerminal(s, rec, view) {
 			res.Ok = true
@@ -251,64 +204,58 @@ func replayRCSE(s *scenario.Scenario, rec *record.Recording, o Options) *Result 
 	return res
 }
 
-// replayOutput searches for an execution producing the recorded outputs.
-func replayOutput(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
-	want := rec.OutputsByStream()
-	out := infer.Search(s, func(v *scenario.RunView) bool {
-		return outputsMatch(want, v)
-	}, infer.Options{
-		Ctx:          o.Ctx,
-		Budget:       o.Budget,
-		BaseSeed:     o.SearchSeed,
-		Params:       rec.Params,
-		MaxSteps:     o.MaxSteps,
-		Workers:      o.Workers,
-		Fork:         o.Fork,
-		ForkInterval: o.ForkInterval,
-		ForkPaths:    o.ForkPaths,
-	})
+// replaySearch runs the inference search SearchConfig describes,
+// prefixing the outcome's note with what was searched for.
+func replaySearch(s *scenario.Scenario, rec *record.Recording, o Options, what string) *Result {
+	accept, io, err := SearchConfig(s, rec, o)
+	if err != nil {
+		return &Result{Note: err.Error()}
+	}
+	out := infer.Search(s, accept, io)
 	return &Result{
 		View:       out.View,
 		Ok:         out.Ok,
 		Attempts:   out.Attempts,
 		WorkCycles: out.WorkCycles,
 		WorkSteps:  out.WorkSteps,
-		Note:       "output-constrained search: " + out.Note,
+		Note:       what + ": " + out.Note,
 		Err:        out.Err,
 	}
 }
 
-// replayFailure searches for an execution with the recorded failure
-// signature, shrunken configurations first.
-func replayFailure(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
-	if !rec.Failed {
-		return &Result{Note: "original run did not fail; nothing to synthesize"}
+// SearchConfig returns the inference search that replaying rec runs
+// under the output model (accept executions producing the recorded
+// outputs) or the failure model (accept executions with the recorded
+// failure signature, shrunken configurations first). Replay runs exactly
+// this search; code that measures the search mechanism itself, such as
+// forked candidate execution (infer.Options.Fork), calls infer.Search
+// with it directly. A failure recording of a run that did not fail has
+// nothing to synthesize and is an error, as is any other model.
+func SearchConfig(s *scenario.Scenario, rec *record.Recording, o Options) (func(*scenario.RunView) bool, infer.Options, error) {
+	io := infer.Options{
+		Ctx:      o.Ctx,
+		Budget:   o.Budget,
+		BaseSeed: o.SearchSeed,
+		Params:   rec.Params,
+		MaxSteps: o.MaxSteps,
+		Workers:  o.Workers,
 	}
-	out := infer.Search(s, func(v *scenario.RunView) bool {
-		failed, sig := s.CheckFailure(v)
-		return failed && sig == rec.FailureSig
-	}, infer.Options{
-		Ctx:          o.Ctx,
-		Budget:       o.Budget,
-		BaseSeed:     o.SearchSeed,
-		Params:       rec.Params,
-		ShrinkParams: o.ShrinkParams,
-		MaxSteps:     o.MaxSteps,
-		Workers:      o.Workers,
-		Suspects:     o.Suspects,
-		Fork:         o.Fork,
-		ForkInterval: o.ForkInterval,
-		ForkPaths:    o.ForkPaths,
-	})
-	return &Result{
-		View:       out.View,
-		Ok:         out.Ok,
-		Attempts:   out.Attempts,
-		WorkCycles: out.WorkCycles,
-		WorkSteps:  out.WorkSteps,
-		Note:       "failure-signature search: " + out.Note,
-		Err:        out.Err,
+	switch rec.Model {
+	case record.Output:
+		want := rec.OutputsByStream()
+		return func(v *scenario.RunView) bool { return outputsMatch(want, v) }, io, nil
+	case record.Failure:
+		if !rec.Failed {
+			return nil, io, errors.New("original run did not fail; nothing to synthesize")
+		}
+		io.ShrinkParams = o.ShrinkParams
+		io.Suspects = o.Suspects
+		return func(v *scenario.RunView) bool {
+			failed, sig := s.CheckFailure(v)
+			return failed && sig == rec.FailureSig
+		}, io, nil
 	}
+	return nil, io, fmt.Errorf("replay: %v recordings are not replayed by search", rec.Model)
 }
 
 // replayMatchesTerminal checks that the replay's failure identity matches

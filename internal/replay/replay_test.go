@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"strings"
 	"testing"
 
 	"debugdet/internal/record"
@@ -223,5 +224,27 @@ func TestUnknownModelRejected(t *testing.T) {
 	res := Replay(s, &rec2, Options{})
 	if res.Ok {
 		t.Fatal("replay accepted an unknown model")
+	}
+}
+
+// TestReplayValidatesOptions pins Options.Validate wiring: out-of-domain
+// knobs surface as a clean error result, before any candidate executes.
+func TestReplayValidatesOptions(t *testing.T) {
+	s, rec, _ := recordScenario(t, "bank", record.Output)
+	for name, o := range map[string]Options{
+		"workers": {Workers: -1},
+		"budget":  {Budget: -3},
+	} {
+		res := Replay(s, rec, o)
+		if res.Err == nil || res.Ok || res.View != nil || res.Attempts != 0 {
+			t.Fatalf("%s: invalid options not rejected: err=%v ok=%v attempts=%d",
+				name, res.Err, res.Ok, res.Attempts)
+		}
+		if res.Note != "invalid options" {
+			t.Fatalf("%s: note = %q", name, res.Note)
+		}
+		if !strings.Contains(res.Err.Error(), "infer:") {
+			t.Fatalf("%s: error %q does not identify the source", name, res.Err)
+		}
 	}
 }
